@@ -61,6 +61,18 @@ func (l *Log) Snapshot() []Capture {
 	return append([]Capture(nil), l.captures...)
 }
 
+// SnapshotFrom copies the captures from index i on: the tail a consumer
+// that has already processed the first i needs. An i at or past the end
+// yields an empty slice.
+func (l *Log) SnapshotFrom(i int) []Capture {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if i >= len(l.captures) {
+		return nil
+	}
+	return append([]Capture(nil), l.captures[i:]...)
+}
+
 // Len reports the number of captures.
 func (l *Log) Len() int {
 	l.mu.Lock()

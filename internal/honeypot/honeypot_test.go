@@ -246,3 +246,28 @@ func TestLogConcurrentAppend(t *testing.T) {
 		t.Error("Snapshot must copy")
 	}
 }
+
+func TestLogSnapshotFrom(t *testing.T) {
+	log := NewLog()
+	for _, d := range []string{"a", "b", "c"} {
+		log.Append(Capture{Domain: d})
+	}
+	full := log.Snapshot()
+	for i := 0; i <= 4; i++ {
+		tail := log.SnapshotFrom(i)
+		want := full[min(i, len(full)):]
+		if len(tail) != len(want) {
+			t.Fatalf("SnapshotFrom(%d) has %d captures, want %d", i, len(tail), len(want))
+		}
+		for k := range tail {
+			if tail[k].Domain != want[k].Domain {
+				t.Errorf("SnapshotFrom(%d)[%d] = %q, want %q", i, k, tail[k].Domain, want[k].Domain)
+			}
+		}
+	}
+	tail := log.SnapshotFrom(1)
+	tail[0].Domain = "mutated"
+	if log.Snapshot()[1].Domain == "mutated" {
+		t.Error("SnapshotFrom must copy")
+	}
+}

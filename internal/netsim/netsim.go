@@ -8,15 +8,17 @@
 // hop-by-hop traceroute needs. On-path devices attach to routers as Taps
 // and see the same bytes a DPI middlebox would.
 //
-// Time is virtual: a binary-heap event queue advances a simulated clock, so
+// Time is virtual: an event queue advances a simulated clock, so
 // a two-month measurement campaign with multi-day data-retention delays
-// runs in milliseconds of wall-clock time. All execution is single
-// goroutine and fully deterministic for a given seed and call order.
+// runs in milliseconds of wall-clock time. The queue is a 4-ary min-heap
+// of value entries that carry each event's (time, sequence) key inline, so
+// sifts compare integers without dereferencing events. All execution is
+// single goroutine and fully deterministic for a given seed and call order.
 package netsim
 
 import (
-	"container/heap"
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -118,6 +120,7 @@ const DefaultHopLatency = 8 * time.Millisecond
 // Network is the simulator instance.
 type Network struct {
 	now    time.Time
+	nowNS  int64 // now.UnixNano(), kept in step with now
 	events eventHeap
 	seq    int64
 
@@ -200,6 +203,7 @@ func New(cfg Config) *Network {
 	}
 	n := &Network{
 		now:         cfg.Start,
+		nowNS:       cfg.Start.UnixNano(),
 		hosts:       make(map[wire.Addr]Handler),
 		pathFn:      cfg.Path,
 		hopLatency:  hl,
@@ -264,10 +268,7 @@ func (n *Network) scheduleEvent(delay time.Duration, e *event) {
 		delay = 0
 	}
 	n.seq++
-	e.at = n.now.Add(delay)
-	e.atNS = e.at.UnixNano()
-	e.seq = n.seq
-	heap.Push(&n.events, e)
+	n.events.push(heapEntry{atNS: n.nowNS + int64(delay), seq: n.seq, e: e})
 	n.m.eventsScheduled.Inc()
 	n.m.queuePeak.SetMax(int64(len(n.events)))
 }
@@ -564,61 +565,48 @@ func (n *Network) dispatch(e *event) {
 // Run processes events until the queue is empty or the virtual clock would
 // pass deadline. It returns the number of events processed.
 func (n *Network) Run(deadline time.Time) int64 {
-	var processed int64
-	truncated := false
-	for n.events.Len() > 0 {
-		next := n.events[0]
-		if next.at.After(deadline) {
-			break
-		}
-		heap.Pop(&n.events)
-		if next.at.After(n.now) {
-			n.now = next.at
-		}
-		n.m.queueDepth.Observe(float64(len(n.events) + 1))
-		n.dispatch(next)
-		processed++
-		n.stats.Events++
-		n.m.eventsDispatched.Inc()
-		n.tele.Progress.Tick(n.now, len(n.events))
-		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
-			truncated = true
-			break
-		}
-	}
+	processed, truncated := n.drain(deadline.UnixNano())
 	// Fast-forward to the deadline only when the queue genuinely drained to
 	// it. A maxEvents break leaves unprocessed events behind; jumping the
 	// clock past them would make a later run dispatch them with timestamps
 	// in the past.
 	if !truncated && deadline.After(n.now) {
-		n.now = deadline
+		n.now, n.nowNS = deadline, deadline.UnixNano()
 	}
 	return processed
 }
 
 // RunUntilIdle drains the event queue completely.
 func (n *Network) RunUntilIdle() int64 {
-	var processed int64
-	for n.events.Len() > 0 {
-		next := heap.Pop(&n.events).(*event)
-		if next.at.After(n.now) {
-			n.now = next.at
+	processed, _ := n.drain(math.MaxInt64)
+	return processed
+}
+
+// drain dispatches events in (time, sequence) order until the queue is
+// empty, the next event lies after limitNS, or the maxEvents valve trips
+// (truncated). It returns the number of events processed.
+func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
+	for len(n.events) > 0 && n.events[0].atNS <= limitNS {
+		next := n.events.pop()
+		if next.atNS > n.nowNS {
+			n.now = n.now.Add(time.Duration(next.atNS - n.nowNS))
+			n.nowNS = next.atNS
 		}
 		n.m.queueDepth.Observe(float64(len(n.events) + 1))
-		n.dispatch(next)
+		n.dispatch(next.e)
 		processed++
 		n.stats.Events++
 		n.m.eventsDispatched.Inc()
 		n.tele.Progress.Tick(n.now, len(n.events))
 		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
-			break
+			return processed, true
 		}
 	}
-	return processed
+	return processed, false
 }
 
 // Pending reports the number of queued events.
-func (n *Network) Pending() int { return n.events.Len() }
+func (n *Network) Pending() int { return len(n.events) }
 
 // event is one queued occurrence: a generic callback (fn), a packet-flight
 // step (flight), or a typed UDP request timeout (udpW). Exactly one of the
@@ -626,11 +614,8 @@ func (n *Network) Pending() int { return n.events.Len() }
 // every probe: carrying the waiter and its generation in plain fields
 // costs nothing, where the equivalent closure allocated once per request.
 // Events are pooled by the Network; they live only between scheduleEvent
-// and dispatch.
+// and dispatch. Their dispatch key lives in the queue entry, not here.
 type event struct {
-	at     time.Time
-	atNS   int64 // at.UnixNano(), precomputed: heap sifts compare plain ints
-	seq    int64 // FIFO tiebreak for simultaneous events
 	fn     func()
 	flight *flight
 
@@ -639,26 +624,75 @@ type event struct {
 	udpGen  uint64
 }
 
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].atNS != h[j].atNS {
-		return h[i].atNS < h[j].atNS
-	}
-	return h[i].seq < h[j].seq
+// heapEntry is one queued event with its dispatch key inline: the virtual
+// instant in Unix nanoseconds and a FIFO tiebreak for simultaneous events.
+// seq is unique per Network, so (atNS, seq) totally orders the queue.
+type heapEntry struct {
+	atNS int64
+	seq  int64
+	e    *event
 }
 
-func (h eventHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+// before reports whether a dispatches ahead of b.
+func (a *heapEntry) before(b *heapEntry) bool {
+	return a.atNS < b.atNS || (a.atNS == b.atNS && a.seq < b.seq)
+}
 
-func (h *eventHeap) Push(x interface{}) { *h = append(*h, x.(*event)) }
+// eventHeap is a 4-ary min-heap of entries ordered by (atNS, seq). Four
+// children per node halve the tree depth of a binary heap, and the
+// children of a node share a cache line or two, so a Phase II sweep's
+// ~65k-deep queue pushes and pops in fewer, cheaper steps.
+type eventHeap []heapEntry
 
-func (h *eventHeap) Pop() interface{} {
-	old := *h
-	n := len(old)
-	e := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return e
+// push adds x, sifting it up from the tail.
+func (h *eventHeap) push(x heapEntry) {
+	q := append(*h, x)
+	i := len(q) - 1
+	for i > 0 {
+		p := (i - 1) / 4
+		if !x.before(&q[p]) {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = x
+	*h = q
+}
+
+// pop removes and returns the minimum entry; the heap must be non-empty.
+// The vacated tail slot is zeroed, so the backing array (which an Arena
+// may carry to the next world) never pins a dispatched event.
+func (h *eventHeap) pop() heapEntry {
+	q := *h
+	top := q[0]
+	last := len(q) - 1
+	x := q[last]
+	q[last] = heapEntry{}
+	q = q[:last]
+	*h = q
+	if last == 0 {
+		return top
+	}
+	// Sift the old tail down from the root into the smallest child's place.
+	i := 0
+	for {
+		c := 4*i + 1
+		if c >= last {
+			break
+		}
+		m := c
+		for j, end := c+1, min(c+4, last); j < end; j++ {
+			if q[j].before(&q[m]) {
+				m = j
+			}
+		}
+		if !q[m].before(&x) {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = x
+	return top
 }

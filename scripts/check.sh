@@ -372,6 +372,18 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 7 ]; then
     exit 1
 fi
 
+echo "== netsim event-queue allocation gate"
+# At Phase II depth (65,536 pending events) the queue's steady state
+# recycles pooled events and reuses the heap backing: any allocation per
+# dispatch is a regression.
+allocs=$(go test -run '^$' -bench BenchmarkEventQueue -benchmem ./internal/netsim |
+    awk '/BenchmarkEventQueue/ {print $(NF-1)}')
+echo "BenchmarkEventQueue: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "event-queue allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+
 echo "== trials allocation + multi-core speedup gates"
 # The multi-trial runner went through two campaign-scale allocation
 # sweeps (owned-buffer injection, single-allocation packet builders,

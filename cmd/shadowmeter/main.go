@@ -379,17 +379,16 @@ func runBatch(p batchParams) {
 			}
 			// check.sh and operators parse this line for the resolved port.
 			fmt.Fprintf(os.Stderr, "watch: serving on http://%s\n", ln.Addr())
-			srv := &watch.Server{Monitor: mon, Bus: bus}
+			srv := &http.Server{
+				Handler:           (&watch.Server{Monitor: mon, Bus: bus}).Handler(),
+				ReadHeaderTimeout: 5 * time.Second,
+			}
 			go func() {
-				if err := http.Serve(ln, srv.Handler()); err != nil {
-					select {
-					case <-stop: // campaign over; listener closed under us
-					default:
-						fmt.Fprintf(os.Stderr, "watch: server stopped: %v\n", err)
-					}
+				if err := srv.Serve(ln); err != http.ErrServerClosed {
+					fmt.Fprintf(os.Stderr, "watch: server stopped: %v\n", err)
 				}
 			}()
-			defer ln.Close()
+			defer srv.Close()
 		}
 		if p.progress {
 			rep := &telemetry.Reporter{Bus: bus, Total: span.To - span.From, W: os.Stderr, Clock: time.Now}

@@ -38,8 +38,9 @@ type MonitorOptions struct {
 	// flight-<trial>.json. Empty disables the flight recorder.
 	FlightDir string
 	// SlowFactor is the watchdog threshold: a trial is "slow" when its
-	// wall time exceeds SlowFactor × the rolling median of completed
-	// trials. <= 0 means DefaultSlowFactor.
+	// wall time exceeds SlowFactor × the median of completed trials
+	// (read from the trial wall-time histogram, so bucket-resolution).
+	// <= 0 means DefaultSlowFactor.
 	SlowFactor float64
 	// Scale annotates the campaign snapshot (cosmetic; the runner does
 	// not know the CLI's scale name).
@@ -47,7 +48,7 @@ type MonitorOptions struct {
 }
 
 // DefaultSlowFactor is the watchdog's slow-trial multiplier over the
-// rolling median trial wall time.
+// median completed-trial wall time.
 const DefaultSlowFactor = 4.0
 
 // watchdogMinSamples is how many completed trials the watchdog needs
@@ -221,12 +222,14 @@ type Monitor struct {
 	done      []bool
 	running   []bool
 	inflight  map[int]*inflightTrial
-	durations []float64 // completed trial wall seconds, completion order
-	wallHist  []int64   // len(trialWallBounds)+1
-	wallSum   float64
-	// mergedMetrics/mergedSpans are the completed trials' telemetry,
-	// folded incrementally in completion order as each trial finishes —
-	// O(metric universe) retained, not O(trials) snapshots.
+	// wallHist buckets completed trial wall seconds
+	// (len(trialWallBounds)+1); it is also the watchdog's median source.
+	wallHist []int64
+	wallSum  float64
+	// mergedMetrics/mergedSpans are the runner consumer's telemetry
+	// accumulators, handed over after each trial-order fold — the same
+	// values the final -metrics-json export renders, never mutated in
+	// place (each merge returns fresh copies).
 	mergedMetrics []telemetry.Metric
 	mergedSpans   []telemetry.SpanStats
 	peakHeap      uint64
@@ -383,8 +386,10 @@ func scalarHeadline(h map[string]float64) map[string]float64 {
 
 // trialFinished is the monitor's busiest hook: occupancy accounting,
 // completion bookkeeping, the completion-time watchdog check, and the
-// trial_finished/worker_idle bus events.
-func (m *Monitor) trialFinished(worker, trial int, seed int64, resumed bool, headline map[string]float64, metrics []telemetry.Metric, spans []telemetry.SpanStats) {
+// trial_finished/worker_idle bus events. The trial's spans only feed the
+// event's virtual-time total; its telemetry reaches the monitor through
+// telemetryFolded, in trial order.
+func (m *Monitor) trialFinished(worker, trial int, seed int64, resumed bool, headline map[string]float64, spans []telemetry.SpanStats) {
 	now := m.now()
 	var virtual float64
 	for _, sp := range spans {
@@ -409,20 +414,14 @@ func (m *Monitor) trialFinished(worker, trial int, seed int64, resumed bool, hea
 	// Watchdog, completion-time edition: compare against the median of
 	// the trials that finished before this one.
 	slow := false
-	if t != nil && !t.dumped && m.clock != nil &&
-		len(m.durations) >= watchdogMinSamples && dur > m.slowFactor*median(m.durations) {
+	if med, n := histMedian(m.wallHist); t != nil && !t.dumped && m.clock != nil &&
+		n >= watchdogMinSamples && dur > m.slowFactor*med {
 		slow = true
 		t.dumped = true
 		m.slowDumps++
 	}
-	m.durations = append(m.durations, dur)
 	m.wallSum += dur
 	m.wallHist[bucketOf(dur)]++
-	// Fold this trial's snapshot into the running merge and let the
-	// snapshot go — retaining every per-trial copy until scrape time is
-	// exactly the O(trials) growth the streaming pipeline removed.
-	m.mergedMetrics = telemetry.MergeSnapshots(m.mergedMetrics, metrics)
-	m.mergedSpans = telemetry.MergeSpans(m.mergedSpans, spans)
 	if worker < len(m.workers) && m.workers[worker].started {
 		wc := &m.workers[worker]
 		wc.busy += now.Sub(wc.lastTransition).Seconds()
@@ -468,11 +467,28 @@ func (m *Monitor) trialPanicked(trial int, detail string) {
 	}
 }
 
-// median of a non-empty slice (copy-sorts; n is campaign-sized).
-func median(xs []float64) float64 {
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	return cp[len(cp)/2]
+// histMedian estimates the median trial wall time from the wall-time
+// histogram: the upper bound of the bucket holding the ⌈n/2⌉-th sample,
+// with the overflow bucket read as the last bound. It also returns the
+// sample count n; the median is 0 when n is 0. Bucket resolution is
+// coarse, but the watchdog only asks "several times slower than usual",
+// and the monitor's state stays O(1) in trials.
+func histMedian(hist []int64) (float64, int64) {
+	var n int64
+	for _, c := range hist {
+		n += c
+	}
+	if n == 0 {
+		return 0, 0
+	}
+	var seen int64
+	for i, c := range hist[:len(trialWallBounds)] {
+		seen += c
+		if seen >= (n+1)/2 {
+			return trialWallBounds[i], n
+		}
+	}
+	return trialWallBounds[len(trialWallBounds)-1], n // overflow bucket
 }
 
 func bucketOf(sec float64) int {
@@ -485,7 +501,7 @@ func bucketOf(sec float64) int {
 
 // CheckStalled is the in-flight half of the slow-trial watchdog: cmd/
 // drives it from a wall-clock ticker, and any running trial whose
-// elapsed time already exceeds SlowFactor × the rolling median gets a
+// elapsed time already exceeds SlowFactor × the median gets a
 // flight dump without waiting for it to finish (it may never). Each
 // trial is dumped at most once. Returns the number of dumps written.
 func (m *Monitor) CheckStalled() int {
@@ -495,8 +511,8 @@ func (m *Monitor) CheckStalled() int {
 	now := m.now()
 	m.mu.Lock()
 	var dumps []*FlightDump
-	if len(m.durations) >= watchdogMinSamples {
-		limit := m.slowFactor * median(m.durations)
+	if med, n := histMedian(m.wallHist); n >= watchdogMinSamples {
+		limit := m.slowFactor * med
 		for trial, t := range m.inflight {
 			elapsed := now.Sub(t.start).Seconds()
 			if !t.dumped && elapsed > limit {
@@ -642,11 +658,23 @@ func (m *Monitor) Campaign() CampaignSnapshot {
 	return s
 }
 
-// MergedMetrics returns the completed trials' telemetry merged so far —
-// the /metrics payload. Only snapshots taken by each trial's own
-// goroutine at completion ever enter the fold, so scraping a live
-// campaign never races a running world; the single-argument re-merge
-// deep-copies the accumulators so callers cannot alias monitor state.
+// telemetryFolded hands the monitor the runner consumer's telemetry
+// accumulators after a trial-order fold. Sharing them is safe: the
+// consumer replaces, never mutates, its accumulators (MergeSnapshots and
+// MergeSpans return fresh values), and MergedMetrics copies on read.
+func (m *Monitor) telemetryFolded(metrics []telemetry.Metric, spans []telemetry.SpanStats) {
+	m.mu.Lock()
+	m.mergedMetrics, m.mergedSpans = metrics, spans
+	m.mu.Unlock()
+}
+
+// MergedMetrics returns the telemetry of the trials folded so far — the
+// /metrics payload. The fold runs in trial order on the runner's
+// consumer, over snapshots each trial's own goroutine took at
+// completion, so scraping a live campaign never races a running world
+// and the live view is always a trial-order prefix of the final
+// -metrics-json export. The single-argument re-merge deep-copies the
+// accumulators so callers cannot alias monitor state.
 func (m *Monitor) MergedMetrics() ([]telemetry.Metric, []telemetry.SpanStats) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -672,12 +700,13 @@ func (m *Monitor) Occupancy() *OccupancyReport {
 	if m.finished {
 		end = m.endWall
 	}
+	_, samples := histMedian(m.wallHist)
 	rep := &OccupancyReport{
 		TrialWallSeconds: Distribution{
 			Bounds: append([]float64(nil), trialWallBounds...),
 			Counts: append([]int64(nil), m.wallHist...),
 			Sum:    m.wallSum,
-			Count:  int64(len(m.durations)),
+			Count:  samples,
 		},
 		SlowTrialDumps:   m.slowDumps,
 		EffectiveWorkers: m.info.Workers,

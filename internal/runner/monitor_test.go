@@ -27,7 +27,7 @@ func runFastTrials(m *Monitor, c *fakeClock, n int, wall time.Duration) {
 	for i := 0; i < n; i++ {
 		m.trialStarted(0, i, int64(100+i))
 		c.advance(wall)
-		m.trialFinished(0, i, int64(100+i), false, map[string]float64{"captures": 1}, nil, nil)
+		m.trialFinished(0, i, int64(100+i), false, map[string]float64{"captures": 1}, nil)
 	}
 }
 
@@ -63,7 +63,7 @@ func TestWatchdogDumpsSlowTrialOnCompletion(t *testing.T) {
 
 	m.trialStarted(0, 3, 103)
 	c.advance(10 * time.Second) // median 1s, factor 4 → 10s is slow
-	m.trialFinished(0, 3, 103, false, nil, nil, nil)
+	m.trialFinished(0, 3, 103, false, nil, nil)
 
 	d := readFlight(t, dir, 3)
 	if d.Reason != "slow_trial" || !d.Completed || d.Trial != 3 || d.Seed != 103 {
@@ -90,39 +90,49 @@ func TestWatchdogDumpsSlowTrialOnCompletion(t *testing.T) {
 
 // The in-flight watchdog: CheckStalled must dump a trial that is
 // already past the slow threshold without waiting for it to finish, and
-// dump it at most once. The dump carries the world's recent spans.
+// dump it at most once. The dump carries the world's recent spans. The
+// median is read from the wall-time histogram: 1 s trials fall in the
+// (0.5, 1] bucket (limit 4 s), while 400 s trials fall in the overflow
+// bucket, read as the last bound of 300 s (limit 1200 s, not 1600 s).
 func TestCheckStalledDumpsInflightTrialOnce(t *testing.T) {
-	dir := t.TempDir()
-	c := newFakeClock()
-	m := NewMonitor(MonitorOptions{Clock: c.clock, FlightDir: dir})
-	m.campaignStarted(CampaignInfo{Trials: 5, Workers: 1})
-	m.workerStarted(0)
+	for _, tc := range []struct {
+		wall, quiet, stalled time.Duration
+	}{
+		{wall: time.Second, quiet: 2 * time.Second, stalled: 20 * time.Second},
+		{wall: 400 * time.Second, quiet: 1100 * time.Second, stalled: 1300 * time.Second},
+	} {
+		dir := t.TempDir()
+		c := newFakeClock()
+		m := NewMonitor(MonitorOptions{Clock: c.clock, FlightDir: dir})
+		m.campaignStarted(CampaignInfo{Trials: 5, Workers: 1})
+		m.workerStarted(0)
 
-	runFastTrials(m, c, 3, time.Second)
+		runFastTrials(m, c, 3, tc.wall)
 
-	m.trialStarted(0, 3, 103)
-	set := telemetry.NewSet()
-	set.Tracer.Start("phase:screen").End()
-	m.attachWorld(3, set)
+		m.trialStarted(0, 3, 103)
+		set := telemetry.NewSet()
+		set.Tracer.Start("phase:screen").End()
+		m.attachWorld(3, set)
 
-	c.advance(2 * time.Second)
-	if n := m.CheckStalled(); n != 0 {
-		t.Fatalf("CheckStalled at 2s dumped %d trials, want 0", n)
-	}
-	c.advance(18 * time.Second)
-	if n := m.CheckStalled(); n != 1 {
-		t.Fatalf("CheckStalled at 20s dumped %d trials, want 1", n)
-	}
-	if n := m.CheckStalled(); n != 0 {
-		t.Fatalf("second CheckStalled dumped %d more, want 0 (once per trial)", n)
-	}
+		c.advance(tc.quiet)
+		if n := m.CheckStalled(); n != 0 {
+			t.Fatalf("%v trials: CheckStalled at %v dumped %d trials, want 0", tc.wall, tc.quiet, n)
+		}
+		c.advance(tc.stalled - tc.quiet)
+		if n := m.CheckStalled(); n != 1 {
+			t.Fatalf("%v trials: CheckStalled at %v dumped %d trials, want 1", tc.wall, tc.stalled, n)
+		}
+		if n := m.CheckStalled(); n != 0 {
+			t.Fatalf("%v trials: second CheckStalled dumped %d more, want 0 (once per trial)", tc.wall, n)
+		}
 
-	d := readFlight(t, dir, 3)
-	if d.Completed || d.Reason != "slow_trial" {
-		t.Fatalf("dump = %+v; want in-flight slow_trial", d)
-	}
-	if len(d.RecentSpans) == 0 || d.RecentSpans[0].Name != "phase:screen" {
-		t.Fatalf("dump RecentSpans = %+v; want the attached world's span ring", d.RecentSpans)
+		d := readFlight(t, dir, 3)
+		if d.Completed || d.Reason != "slow_trial" {
+			t.Fatalf("%v trials: dump = %+v; want in-flight slow_trial", tc.wall, d)
+		}
+		if len(d.RecentSpans) == 0 || d.RecentSpans[0].Name != "phase:screen" {
+			t.Fatalf("%v trials: dump RecentSpans = %+v; want the attached world's span ring", tc.wall, d.RecentSpans)
+		}
 	}
 }
 
@@ -162,10 +172,10 @@ func TestOccupancyAccounting(t *testing.T) {
 	c.advance(time.Second)
 	m.trialStarted(0, 0, 10)
 	c.advance(3 * time.Second)
-	m.trialFinished(0, 0, 10, false, nil, nil, nil)
+	m.trialFinished(0, 0, 10, false, nil, nil)
 	m.workerExited(0)
 	c.advance(2 * time.Second)
-	m.trialFinished(1, 1, 11, false, nil, nil, nil)
+	m.trialFinished(1, 1, 11, false, nil, nil)
 	m.workerExited(1)
 	m.campaignFinished()
 
@@ -202,9 +212,11 @@ func TestOccupancyAccounting(t *testing.T) {
 // The inertness contract itself: a monitored batch — bus, occupancy,
 // flight recorder, the works — must produce byte-identical batch JSON
 // and merged telemetry to a bare one. This is the in-process version of
-// check.sh's -watch on/off diff.
+// check.sh's -watch on/off diff. Four trials on four workers let
+// completion order differ from trial order; the monitor's live merge
+// must still end byte-equal to the final export.
 func TestMonitorDoesNotPerturbBatchOutput(t *testing.T) {
-	cfg := Config{Trials: 3, Workers: 2, BaseSeed: 21, Core: tinyCore()}
+	cfg := Config{Trials: 4, Workers: 4, BaseSeed: 21, Core: tinyCore()}
 	bare := Run(cfg)
 
 	bus := telemetry.NewBus(time.Now, 0)
@@ -212,7 +224,24 @@ func TestMonitorDoesNotPerturbBatchOutput(t *testing.T) {
 	sub := bus.Subscribe(0)
 	defer bus.Unsubscribe(sub)
 	cfg.Monitor = mon
+	// Scrape the live merge throughout the run, as /metrics does: the
+	// accumulators the consumer shares with the monitor must stay
+	// race-free under -race.
+	stopScrape, scraped := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(scraped)
+		for {
+			select {
+			case <-stopScrape:
+				return
+			case <-time.After(time.Millisecond):
+				telemetry.ExportMergedJSON(mon.MergedMetrics())
+			}
+		}
+	}()
 	observed := Run(cfg)
+	close(stopScrape)
+	<-scraped
 
 	bareJSON, err := bare.JSON()
 	if err != nil {
@@ -231,12 +260,15 @@ func TestMonitorDoesNotPerturbBatchOutput(t *testing.T) {
 
 	// And the monitor really observed the campaign while staying inert.
 	snap := mon.Campaign()
-	if !snap.Finished || snap.Completed != 3 || snap.Bitmap != "111" {
-		t.Fatalf("campaign snapshot = %+v; want finished 3/3", snap)
+	if !snap.Finished || snap.Completed != 4 || snap.Bitmap != "1111" {
+		t.Fatalf("campaign snapshot = %+v; want finished 4/4", snap)
 	}
 	merged, spans := mon.MergedMetrics()
 	if len(merged) == 0 || len(spans) == 0 {
 		t.Fatal("monitor merged no telemetry")
+	}
+	if !bytes.Equal(telemetry.ExportMergedJSON(merged, spans), observed.MergedTelemetryJSON()) {
+		t.Fatal("monitor's live merge differs from the final merged telemetry export")
 	}
 	var finished int
 	events, _, _ := bus.Since(0)
@@ -248,7 +280,7 @@ func TestMonitorDoesNotPerturbBatchOutput(t *testing.T) {
 			}
 		}
 	}
-	if finished != 3 {
-		t.Fatalf("bus carried %d trial_finished events, want 3", finished)
+	if finished != 4 {
+		t.Fatalf("bus carried %d trial_finished events, want 4", finished)
 	}
 }

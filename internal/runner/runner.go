@@ -320,6 +320,11 @@ func foldTrial(cfg Config, hash string, res *Result, agg *headlineAgg, ft finish
 	agg.fold(tr.Headline)
 	res.mergedMetrics = telemetry.MergeSnapshots(res.mergedMetrics, tr.Metrics)
 	res.mergedSpans = telemetry.MergeSpans(res.mergedSpans, tr.Spans)
+	if m := cfg.Monitor; m != nil {
+		// The single telemetry merge: the live /metrics view shares the
+		// accumulators the final export renders.
+		m.telemetryFolded(res.mergedMetrics, res.mergedSpans)
+	}
 	tr.Metrics, tr.Spans, tr.Events = nil, nil, nil
 	res.Trials[i] = tr
 }
@@ -368,7 +373,7 @@ func runTrial(cfg Config, worker, t int, hash string, arena *netsim.Arena) finis
 		if rec, ok, err := cfg.Store.Get(t); err == nil && ok && rec.Seed == seed && rec.ConfigHash == hash {
 			cfg.Store.NoteResumeHit()
 			if m := cfg.Monitor; m != nil {
-				m.trialFinished(worker, t, seed, true, rec.Headline, rec.Metrics, rec.Spans)
+				m.trialFinished(worker, t, seed, true, rec.Headline, rec.Spans)
 			}
 			return finishedTrial{Trial: Trial{
 				Trial:    t,
@@ -412,7 +417,7 @@ func runTrial(cfg Config, worker, t int, hash string, arena *netsim.Arena) finis
 		ft.Events = eventRecords(e.EventsPhaseI)
 	}
 	if m := cfg.Monitor; m != nil {
-		m.trialFinished(worker, t, seed, false, ft.Headline, ft.Metrics, ft.Spans)
+		m.trialFinished(worker, t, seed, false, ft.Headline, ft.Spans)
 	}
 	// The world is finished: reclaim its event/flight allocations for
 	// this worker's next trial.
@@ -549,20 +554,11 @@ func (r *Result) JSON() ([]byte, error) {
 	return json.MarshalIndent(r, "", "  ")
 }
 
-// MergedTelemetryJSON folds every trial's telemetry into one export in
+// MergedTelemetryJSON renders every trial's telemetry as one export in
 // the shape of telemetry.Set.ExportJSON: counters and histogram buckets
-// sum across worlds, gauges keep their high-water mark, spans sum. A
-// Run-built Result serves the consumer's incrementally merged
-// accumulators (the per-trial snapshots are gone); a hand-built Result
-// falls back to folding whatever the Trials still carry — pairwise
-// left-folds and the whole-batch merge are byte-identical.
+// sum across worlds, gauges keep their high-water mark, spans sum. It
+// serves the consumer's incrementally merged accumulators (the per-trial
+// snapshots are gone by the time Run returns).
 func (r *Result) MergedTelemetryJSON() []byte {
-	metrics, spans := r.mergedMetrics, r.mergedSpans
-	if metrics == nil && spans == nil {
-		for _, t := range r.Trials {
-			metrics = telemetry.MergeSnapshots(metrics, t.Metrics)
-			spans = telemetry.MergeSpans(spans, t.Spans)
-		}
-	}
-	return telemetry.ExportMergedJSON(metrics, spans)
+	return telemetry.ExportMergedJSON(r.mergedMetrics, r.mergedSpans)
 }

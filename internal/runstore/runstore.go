@@ -911,14 +911,6 @@ func publishFile(dir, name string, payload []byte) error {
 	return syncDir(dir)
 }
 
-// PublishFile atomically replaces <dir>/<name> with payload via the
-// store's crash-safe publish path (tmp-file, fsync, rename, dir-fsync).
-// Exported for the scheduler's queue-state persistence, which must
-// survive a daemon crash with the same guarantee the manifest enjoys.
-func PublishFile(dir, name string, payload []byte) error {
-	return publishFile(dir, name, payload)
-}
-
 func readManifest(dir string) (Manifest, error) {
 	b, err := os.ReadFile(ManifestPath(dir))
 	if err != nil {

@@ -293,68 +293,6 @@ if ! grep -q "resume hits 4" "$tmpdir/extend.err"; then
     exit 1
 fi
 
-echo "== shadowmeterd control-plane smoke"
-# The daemon contract: submit a campaign over HTTP, watch it complete,
-# then SIGTERM drains gracefully (exit 0, queue persisted as done).
-go build -o "$tmpdir/shadowmeterd" ./cmd/shadowmeterd
-"$tmpdir/shadowmeterd" -addr 127.0.0.1:0 -root "$tmpdir/fleet" -workers 1 \
-    2>"$tmpdir/daemon.err" &
-daemon_pid=$!
-daddr=""
-for _ in $(seq 1 100); do
-    daddr=$(awk -F'http://' '/shadowmeterd: serving on/ {split($2, a, " "); print a[1]; exit}' "$tmpdir/daemon.err")
-    [ -n "$daddr" ] && break
-    sleep 0.1
-done
-if [ -z "$daddr" ]; then
-    echo "shadowmeterd never announced its address; stderr was:" >&2
-    cat "$tmpdir/daemon.err" >&2
-    exit 1
-fi
-curl -fsS "http://$daddr/healthz" | grep -q '^ok$'
-cid=$(curl -fsS -X POST -d '{"seed":7,"trials":2,"slice_size":1}' "http://$daddr/campaigns" | jq -r .id)
-if [ -z "$cid" ] || [ "$cid" = "null" ]; then
-    echo "campaign submission returned no id" >&2
-    exit 1
-fi
-state=""
-for _ in $(seq 1 300); do
-    state=$(curl -fsS "http://$daddr/campaigns/$cid" | jq -r .state)
-    [ "$state" = "done" ] && break
-    [ "$state" = "failed" ] && break
-    sleep 0.2
-done
-if [ "$state" != "done" ]; then
-    echo "campaign $cid ended as '$state', want done; daemon stderr was:" >&2
-    cat "$tmpdir/daemon.err" >&2
-    exit 1
-fi
-curl -fsS "http://$daddr/campaigns/$cid/progress" | grep -q '"type": "campaign_started"'
-curl -fsS "http://$daddr/campaigns" | grep -q "\"$cid\""
-kill -TERM "$daemon_pid"
-if ! wait "$daemon_pid"; then
-    echo "shadowmeterd exited non-zero after SIGTERM; stderr was:" >&2
-    cat "$tmpdir/daemon.err" >&2
-    exit 1
-fi
-grep -q "drained" "$tmpdir/daemon.err"
-grep -q '"state": "done"' "$tmpdir/fleet/state.json"
-# The daemon's campaign store is an ordinary campaign: resumable,
-# byte-identical to the same seeds run by hand.
-fleet_dir=$(jq -r '.campaigns[0].dir' "$tmpdir/fleet/state.json")
-"$tmpdir/shadowmeter" -seed 7 -trials 2 -workers 2 -out "$fleet_dir" -resume \
-    >"$tmpdir/fleet_resume.json" 2>"$tmpdir/fleet_resume.err"
-if ! cmp -s "$tmpdir/batch2.json" "$tmpdir/fleet_resume.json"; then
-    echo "daemon-run campaign differs from the same seeds run by hand:" >&2
-    diff "$tmpdir/batch2.json" "$tmpdir/fleet_resume.json" >&2 || true
-    exit 1
-fi
-if ! grep -q "resume hits 2" "$tmpdir/fleet_resume.err"; then
-    echo "expected both daemon-run trials served from its store; stderr was:" >&2
-    cat "$tmpdir/fleet_resume.err" >&2
-    exit 1
-fi
-
 echo "== benchmark smoke (netsim, wire)"
 # -benchtime=1x compiles and runs each benchmark once: catches bitrot in
 # the registry-backed events/sec reporting without measuring anything.

@@ -10,10 +10,15 @@
 //
 // Time is virtual: an event queue advances a simulated clock, so
 // a two-month measurement campaign with multi-day data-retention delays
-// runs in milliseconds of wall-clock time. The queue is a 4-ary min-heap
-// of value entries that carry each event's (time, sequence) key inline, so
-// sifts compare integers without dereferencing events. All execution is
-// single goroutine and fully deterministic for a given seed and call order.
+// runs in milliseconds of wall-clock time. The queue has two lanes of value
+// entries that carry each event's (time, sequence) key inline. Every hop
+// and delivery is scheduled exactly one hop latency ahead; since virtual
+// time never decreases and sequence numbers only grow, those entries
+// arrive already sorted and wait in a FIFO ring, the hop lane. All other
+// events go to a 4-ary min-heap. The loop dispatches whichever lane head
+// comes first, and merging two sorted sources always yields the least key,
+// so the order is the same as one queue's. All execution is single
+// goroutine and fully deterministic for a given seed and call order.
 package netsim
 
 import (
@@ -122,6 +127,7 @@ type Network struct {
 	now    time.Time
 	nowNS  int64 // now.UnixNano(), kept in step with now
 	events eventHeap
+	lane   hopLane // entries scheduled exactly hopLatency ahead
 	seq    int64
 
 	hosts      map[wire.Addr]Handler
@@ -262,15 +268,21 @@ func (n *Network) Schedule(delay time.Duration, fn func()) {
 	n.scheduleEvent(delay, e)
 }
 
-// scheduleEvent pushes a prepared event onto the queue.
+// scheduleEvent queues a prepared event: in the hop lane when it lands
+// exactly one hop latency ahead, in the heap otherwise.
 func (n *Network) scheduleEvent(delay time.Duration, e *event) {
 	if delay < 0 {
 		delay = 0
 	}
 	n.seq++
-	n.events.push(heapEntry{atNS: n.nowNS + int64(delay), seq: n.seq, e: e})
+	x := heapEntry{atNS: n.nowNS + int64(delay), seq: n.seq, e: e}
+	if delay == n.hopLatency {
+		n.lane.push(x)
+	} else {
+		n.events.push(x)
+	}
 	n.m.eventsScheduled.Inc()
-	n.m.queuePeak.SetMax(int64(len(n.events)))
+	n.m.queuePeak.SetMax(int64(n.Pending()))
 }
 
 // newEvent takes an event from the pool (or allocates the pool's next).
@@ -312,7 +324,7 @@ func (n *Network) releaseFlight(f *flight) {
 }
 
 // Arena carries a Network's recyclable scratch — the event and flight free
-// lists plus the drained event-heap backing array — across Network
+// lists plus the drained heap and hop-lane backing arrays — across Network
 // lifetimes. A campaign worker running many single-trial worlds in
 // sequence attaches one arena to each world in turn, so the event loop's
 // steady-state pool is grown once per worker instead of once per trial.
@@ -324,6 +336,7 @@ type Arena struct {
 	events      []*event
 	flights     []*flight
 	heapBacking eventHeap
+	laneBacking []heapEntry
 }
 
 // attach seeds n's pools from the arena, leaving the arena empty. New
@@ -333,6 +346,9 @@ func (a *Arena) attach(n *Network) {
 	n.freeFlights, a.flights = a.flights, nil
 	if cap(a.heapBacking) > 0 {
 		n.events, a.heapBacking = a.heapBacking[:0], nil
+	}
+	if len(a.laneBacking) > 0 {
+		n.lane, a.laneBacking = hopLane{ring: a.laneBacking}, nil
 	}
 }
 
@@ -349,6 +365,9 @@ func (a *Arena) Harvest(n *Network) {
 	a.flights, n.freeFlights = n.freeFlights, nil
 	if len(n.events) == 0 {
 		a.heapBacking, n.events = n.events[:0], nil
+	}
+	if n.lane.n == 0 {
+		a.laneBacking, n.lane = n.lane.ring, hopLane{}
 	}
 }
 
@@ -584,20 +603,33 @@ func (n *Network) RunUntilIdle() int64 {
 
 // drain dispatches events in (time, sequence) order until the queue is
 // empty, the next event lies after limitNS, or the maxEvents valve trips
-// (truncated). It returns the number of events processed.
+// (truncated). It returns the number of events processed. Each step takes
+// the earlier of the two lane heads; both lanes are sorted, so that head
+// is the least key in the whole queue.
 func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
-	for len(n.events) > 0 && n.events[0].atNS <= limitNS {
-		next := n.events.pop()
+	for {
+		var next heapEntry
+		if n.lane.n > 0 && (len(n.events) == 0 || n.lane.ring[n.lane.head].before(&n.events[0])) {
+			if n.lane.ring[n.lane.head].atNS > limitNS {
+				break
+			}
+			next = n.lane.pop()
+		} else {
+			if len(n.events) == 0 || n.events[0].atNS > limitNS {
+				break
+			}
+			next = n.events.pop()
+		}
 		if next.atNS > n.nowNS {
 			n.now = n.now.Add(time.Duration(next.atNS - n.nowNS))
 			n.nowNS = next.atNS
 		}
-		n.m.queueDepth.Observe(float64(len(n.events) + 1))
+		n.m.queueDepth.Observe(float64(n.Pending() + 1))
 		n.dispatch(next.e)
 		processed++
 		n.stats.Events++
 		n.m.eventsDispatched.Inc()
-		n.tele.Progress.Tick(n.now, len(n.events))
+		n.tele.Progress.Tick(n.now, n.Pending())
 		if n.maxEvents > 0 && n.stats.Events >= n.maxEvents {
 			return processed, true
 		}
@@ -605,8 +637,8 @@ func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 	return processed, false
 }
 
-// Pending reports the number of queued events.
-func (n *Network) Pending() int { return len(n.events) }
+// Pending reports the number of queued events in both lanes.
+func (n *Network) Pending() int { return len(n.events) + n.lane.n }
 
 // event is one queued occurrence: a generic callback (fn), a packet-flight
 // step (flight), or a typed UDP request timeout (udpW). Exactly one of the
@@ -695,4 +727,44 @@ func (h *eventHeap) pop() heapEntry {
 	}
 	q[i] = x
 	return top
+}
+
+// hopLane is a FIFO ring of entries scheduled exactly one hop latency
+// ahead. Each push carries the current virtual time plus the same delay
+// and a larger seq than every entry before it, and virtual time never
+// decreases, so the ring is sorted by (atNS, seq) without any sifting.
+// len(ring) is zero or a power of two.
+type hopLane struct {
+	ring []heapEntry
+	head int // index of the oldest entry
+	n    int // entries queued
+}
+
+// push appends x at the tail, doubling the ring when it is full.
+func (l *hopLane) push(x heapEntry) {
+	if l.n == len(l.ring) {
+		l.grow()
+	}
+	l.ring[(l.head+l.n)&(len(l.ring)-1)] = x
+	l.n++
+}
+
+// pop removes and returns the oldest entry; the lane must be non-empty.
+// The vacated slot is zeroed, as the heap's is, so a ring an Arena carries
+// to the next world never pins a dispatched event.
+func (l *hopLane) pop() heapEntry {
+	x := l.ring[l.head]
+	l.ring[l.head] = heapEntry{}
+	l.head = (l.head + 1) & (len(l.ring) - 1)
+	l.n--
+	return x
+}
+
+// grow moves the entries of a full ring, oldest first, into one twice as
+// large.
+func (l *hopLane) grow() {
+	ring := make([]heapEntry, max(2*len(l.ring), 64))
+	k := copy(ring, l.ring[l.head:])
+	copy(ring[k:], l.ring[:l.head])
+	l.ring, l.head = ring, 0
 }

@@ -10,29 +10,44 @@ import (
 // queueProbe drives a Network through random Schedule calls and keeps the
 // reference model the queue must match: every scheduled item with its
 // dispatch instant and its schedule order (the tiebreak the network's seq
-// encodes), and the order in which items actually ran.
+// encodes), the order in which items actually ran, which items belong in
+// the hop lane, and the most items ever outstanding at once.
 type queueProbe struct {
-	t     *testing.T
-	n     *Network
-	rng   *rand.Rand
-	at    []time.Time // each item's dispatch instant, indexed by id = schedule order
-	log   []int       // ids in dispatch order
-	limit int         // handlers stop spawning work past this many items
+	t      *testing.T
+	n      *Network
+	rng    *rand.Rand
+	delays []time.Duration
+	at     []time.Time // each item's dispatch instant, indexed by id = schedule order
+	hop    []bool      // whether each item was scheduled exactly one hop latency ahead
+	log    []int       // ids in dispatch order
+	inLane int         // hop items scheduled and not yet dispatched
+	peak   int         // most items outstanding at once
+	limit  int         // handlers stop spawning work past this many items
 }
 
 // probeDelays is weighted toward a few values, so many items share a
 // timestamp, and includes zero and negative delays (which run at the
-// current instant).
-var probeDelays = []time.Duration{
-	-time.Second, -1, 0, 0, 0, time.Nanosecond,
-	time.Millisecond, time.Millisecond, DefaultHopLatency, DefaultHopLatency,
-	3 * DefaultHopLatency, time.Second,
+// current instant) and hop, the network's hop latency, which selects the
+// hop lane. DefaultHopLatency is always among them, so a network with a
+// different hop latency must keep those items in the heap.
+func probeDelays(hop time.Duration) []time.Duration {
+	return []time.Duration{
+		-time.Second, -1, 0, 0, 0, time.Nanosecond,
+		time.Millisecond, time.Millisecond, DefaultHopLatency, hop, hop,
+		3 * hop, time.Second,
+	}
 }
 
 func (p *queueProbe) schedule() {
-	d := probeDelays[p.rng.Intn(len(probeDelays))]
+	d := p.delays[p.rng.Intn(len(p.delays))]
 	id := len(p.at)
+	hop := d == p.n.hopLatency
 	p.at = append(p.at, p.n.Now().Add(max(d, 0)))
+	p.hop = append(p.hop, hop)
+	if hop {
+		p.inLane++
+	}
+	p.peak = max(p.peak, len(p.at)-len(p.log))
 	p.n.Schedule(d, func() { p.fire(id) })
 }
 
@@ -40,6 +55,9 @@ func (p *queueProbe) schedule() {
 // sometimes schedules more work from inside the event loop.
 func (p *queueProbe) fire(id int) {
 	p.log = append(p.log, id)
+	if p.hop[id] {
+		p.inLane--
+	}
 	if got, want := p.n.Now(), p.at[id]; !got.Equal(want) {
 		p.t.Fatalf("item %d ran at %v, scheduled for %v", id, got, want)
 	}
@@ -51,7 +69,9 @@ func (p *queueProbe) fire(id int) {
 }
 
 // check asserts the dispatch log is a prefix of all known items sorted by
-// (at, schedule order), and that Pending counts the rest. New items always
+// (at, schedule order), that Pending counts the rest, that exactly the
+// outstanding hop items wait in the hop lane, and that the queue-peak gauge
+// matches the model's high-water mark. New items always
 // sort after the running one (their at is no earlier, their seq larger),
 // so the prefix property holds at every point, not only at the end.
 func (p *queueProbe) check(stage string) {
@@ -69,6 +89,12 @@ func (p *queueProbe) check(stage string) {
 	if got, want := p.n.Pending(), len(p.at)-len(p.log); got != want {
 		p.t.Fatalf("%s: Pending = %d, want %d", stage, got, want)
 	}
+	if got := p.n.lane.n; got != p.inLane {
+		p.t.Fatalf("%s: hop lane holds %d entries, want %d", stage, got, p.inLane)
+	}
+	if got := p.n.m.queuePeak.Value(); got != int64(p.peak) {
+		p.t.Fatalf("%s: netsim_event_queue_peak = %d, want %d", stage, got, p.peak)
+	}
 }
 
 // runQueueScenario schedules a random workload on n and drains it through
@@ -76,7 +102,10 @@ func (p *queueProbe) check(stage string) {
 // final RunUntilIdle, checking the order after each. It returns the
 // dispatch log.
 func runQueueScenario(t *testing.T, n *Network, seed int64) []int {
-	p := &queueProbe{t: t, n: n, rng: rand.New(rand.NewSource(seed)), limit: 3000}
+	p := &queueProbe{
+		t: t, n: n, rng: rand.New(rand.NewSource(seed)),
+		delays: probeDelays(n.hopLatency), limit: 3000,
+	}
 	for i := 0; i < 300; i++ {
 		p.schedule()
 	}
@@ -121,15 +150,54 @@ func runQueueScenario(t *testing.T, n *Network, seed int64) []int {
 	return p.log
 }
 
+// The hop lane is keyed on the network's own hop latency: with a 3 ms hop,
+// 3 ms items take the lane and DefaultHopLatency items stay in the heap.
+// check asserts the lane's exact occupancy at every stage.
 func TestEventQueueMatchesReferenceOrder(t *testing.T) {
-	for seed := int64(1); seed <= 20; seed++ {
-		runQueueScenario(t, New(Config{Start: t0}), seed)
+	for _, hop := range []time.Duration{DefaultHopLatency, 3 * time.Millisecond} {
+		for seed := int64(1); seed <= 20; seed++ {
+			runQueueScenario(t, New(Config{Start: t0, HopLatency: hop}), seed)
+		}
+	}
+}
+
+// TestHopLaneGrowsAcrossWrap fills a ring whose head has wrapped past its
+// start, so growth must unroll the entries oldest first.
+func TestHopLaneGrowsAcrossWrap(t *testing.T) {
+	var l hopLane
+	next, want := int64(0), int64(0)
+	push := func(k int) {
+		for ; k > 0; k-- {
+			next++
+			l.push(heapEntry{atNS: next, seq: next})
+		}
+	}
+	pop := func(k int) {
+		for ; k > 0; k-- {
+			want++
+			if x := l.pop(); x.seq != want {
+				t.Fatalf("pop returned seq %d, want %d", x.seq, want)
+			}
+		}
+	}
+	push(50)
+	pop(40)
+	push(200) // wraps past slot 63, grows with head at 40, then again
+	if len(l.ring) != 256 || l.n != 210 {
+		t.Fatalf("ring len %d holding %d, want 256 holding 210", len(l.ring), l.n)
+	}
+	pop(210)
+	for i, x := range l.ring {
+		if x != (heapEntry{}) {
+			t.Fatalf("drained ring slot %d still holds %+v", i, x)
+		}
 	}
 }
 
 func TestEventQueueArenaReuse(t *testing.T) {
 	// A world built on a harvested arena must dispatch exactly as a fresh
-	// world does, and the harvested heap backing must pin no events.
+	// world does, and the harvested heap and lane backings must pin no
+	// events.
 	const seed = 7
 	want := runQueueScenario(t, New(Config{Start: t0}), seed)
 
@@ -143,6 +211,14 @@ func TestEventQueueArenaReuse(t *testing.T) {
 	for i, x := range arena.heapBacking[:cap(arena.heapBacking)] {
 		if x != (heapEntry{}) {
 			t.Fatalf("harvested heap slot %d still holds %+v", i, x)
+		}
+	}
+	if len(arena.laneBacking) == 0 {
+		t.Fatal("harvest of a drained world kept no hop-lane ring")
+	}
+	for i, x := range arena.laneBacking {
+		if x != (heapEntry{}) {
+			t.Fatalf("harvested hop-lane slot %d still holds %+v", i, x)
 		}
 	}
 
@@ -177,6 +253,42 @@ func BenchmarkEventQueue(b *testing.B) {
 		n.Schedule(time.Duration(i)*DefaultHopLatency, tick)
 	}
 	n.SetMaxEvents(int64(b.N))
+	b.ReportAllocs()
+	b.ResetTimer()
+	if got := n.RunUntilIdle(); got != int64(b.N) {
+		b.Fatalf("dispatched %d events, want %d", got, b.N)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// BenchmarkHopLane measures dispatch at Phase II depth on Phase II's mix:
+// 65,536 events in flight, about 91% of dispatches scheduling their
+// successor exactly one hop latency ahead (the hop lane) and the rest a
+// few hops further, as an ICMP reply returning over the probe's distance
+// does (the heap). BenchmarkEventQueue keeps covering the heap alone. A
+// warm-up of four full queue turnovers reaches the steady-state lane and
+// heap sizes before timing; from there dispatch must not allocate.
+func BenchmarkHopLane(b *testing.B) {
+	const depth = 1 << 16
+	n := New(Config{Start: t0})
+	x := uint32(2463534242)
+	var tick func()
+	tick = func() {
+		x ^= x << 13
+		x ^= x >> 17
+		x ^= x << 5
+		d := DefaultHopLatency
+		if x%100 >= 91 {
+			d *= time.Duration(2 + (x>>8)%30)
+		}
+		n.Schedule(d, tick)
+	}
+	for i := 0; i < depth; i++ {
+		n.Schedule(DefaultHopLatency, tick)
+	}
+	n.SetMaxEvents(4 * depth)
+	n.RunUntilIdle()
+	n.SetMaxEvents(n.Stats().Events + int64(b.N))
 	b.ReportAllocs()
 	b.ResetTimer()
 	if got := n.RunUntilIdle(); got != int64(b.N) {

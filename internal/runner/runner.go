@@ -535,17 +535,6 @@ func (a *headlineAgg) finalize(n int) map[string]Stat {
 	return out
 }
 
-// aggregate folds per-trial headlines into mean/min/max per key — the
-// batch-shaped wrapper over the streaming fold, kept as the reference
-// implementation the determinism tests compare against.
-func aggregate(trials []Trial) map[string]Stat {
-	agg := newHeadlineAgg()
-	for _, t := range trials {
-		agg.fold(t.Headline)
-	}
-	return agg.finalize(len(trials))
-}
-
 // JSON renders the batch — per-trial headlines plus the cross-trial
 // aggregate — with deterministic key order (encoding/json sorts map
 // keys), so identical seeds produce byte-identical output at any worker

@@ -105,6 +105,17 @@ func TestBlueprintDeterminism(t *testing.T) {
 	}
 }
 
+// aggregate folds per-trial headlines into mean/min/max per key — the
+// batch-shaped wrapper over the streaming fold, the reference the
+// aggregate tests drive.
+func aggregate(trials []Trial) map[string]Stat {
+	agg := newHeadlineAgg()
+	for _, t := range trials {
+		agg.fold(t.Headline)
+	}
+	return agg.finalize(len(trials))
+}
+
 func TestAggregateStats(t *testing.T) {
 	trials := []Trial{
 		{Headline: map[string]float64{"a": 1, "b": 4}},

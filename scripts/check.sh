@@ -53,6 +53,12 @@ if [ "${CHECK_FULL:-0}" = "1" ]; then
     go test -race ./internal/core
 fi
 
+echo "== wire per-hop decode fuzz smoke"
+# Arbitrary bytes must never panic the parser, and every decodable header
+# must survive the per-hop RFC 1624 TTL decrement. The seed corpus runs in
+# the plain test pass; this adds a short coverage-guided search.
+go test -run '^$' -fuzz '^FuzzParserDecode$' -fuzztime 10s ./internal/wire
+
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce
 # byte-identical exports across separate processes. A diff here usually
@@ -319,6 +325,16 @@ allocs=$(go test -run '^$' -bench BenchmarkEventQueue -benchmem ./internal/netsi
 echo "BenchmarkEventQueue: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "event-queue allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+# The same depth on Phase II's mix (about 91% of events one hop latency
+# ahead) runs mostly through the hop-lane ring, which must also reuse its
+# backing in the steady state.
+allocs=$(go test -run '^$' -bench BenchmarkHopLane -benchmem ./internal/netsim |
+    awk '/BenchmarkHopLane/ {print $(NF-1)}')
+echo "BenchmarkHopLane: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "hop-lane allocations regressed: $allocs allocs/op (gate: 0)" >&2
     exit 1
 fi
 

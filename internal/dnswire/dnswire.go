@@ -159,19 +159,39 @@ func (m *Message) QType() uint16 {
 }
 
 // Encoder holds reusable encode scratch — the output buffer and the name
-// compression offsets — for call sites that serialize many messages from
+// compression table — for call sites that serialize many messages from
 // one goroutine (resolver reply loops, honeypot answers, probe emitters).
 // The zero value is ready to use.
 type Encoder struct {
-	buf     []byte
-	offsets map[string]int // FQDN -> offset of its first encoding
+	buf []byte
+	// names is the compression table: every name suffix written so far
+	// with the offset of its first encoding. A message holds a handful of
+	// names, so a linear scan of a reused slice beats a map, and the
+	// first-encoding rule (a suffix is added only when no entry matches)
+	// gives the same pointers, hence the same bytes, as a map would.
+	names []suffixOffset
+}
+
+type suffixOffset struct {
+	suffix string
+	off    int
+}
+
+// lookup returns the offset of suffix's first encoding, if any.
+func (e *Encoder) lookup(suffix string) (int, bool) {
+	for i := range e.names {
+		if e.names[i].suffix == suffix {
+			return e.names[i].off, true
+		}
+	}
+	return 0, false
 }
 
 // Encode serializes the message to wire format with a private encoder,
 // returning a buffer the caller owns. Header counts are derived from the
 // section slices, overriding the caller's values.
 func (m *Message) Encode() ([]byte, error) {
-	e := Encoder{buf: make([]byte, 0, 512)}
+	e := Encoder{buf: make([]byte, 0, 512), names: make([]suffixOffset, 0, 8)}
 	return m.AppendEncode(&e)
 }
 
@@ -182,11 +202,8 @@ func (m *Message) Encode() ([]byte, error) {
 func (m *Message) AppendEncode(enc *Encoder) ([]byte, error) {
 	e := enc
 	e.buf = e.buf[:0]
-	if e.offsets == nil {
-		e.offsets = make(map[string]int, 8)
-	} else {
-		clear(e.offsets)
-	}
+	clear(e.names) // drop the last message's name strings
+	e.names = e.names[:0]
 	h := m.Header
 	h.QDCount = uint16(len(m.Questions))
 	h.ANCount = uint16(len(m.Answers))
@@ -251,17 +268,17 @@ func (e *Encoder) name(n string) error {
 		e.buf = append(e.buf, 0)
 		return nil
 	}
-	if len(n) > 254 { // 255 octets on the wire incl. length bytes
+	if len(n) > 253 { // 255 octets on the wire: a length byte per label plus the root
 		return ErrNameTooLong
 	}
 	rest := n
 	for rest != "" {
-		if off, ok := e.offsets[rest]; ok && off < 0x3FFF {
+		if off, ok := e.lookup(rest); ok {
 			e.u16(0xC000 | uint16(off))
 			return nil
 		}
 		if len(e.buf) < 0x3FFF {
-			e.offsets[rest] = len(e.buf)
+			e.names = append(e.names, suffixOffset{rest, len(e.buf)})
 		}
 		i := strings.IndexByte(rest, '.')
 		var label string
@@ -537,6 +554,10 @@ func decodeName(data []byte, off int) (string, int, error) {
 					c += 'a' - 'A'
 				} else if c >= 0x80 {
 					nonASCII = true
+				} else if c == '.' {
+					// The presentation form has no escapes, so a dot inside
+					// a label would re-encode as a label boundary.
+					return "", 0, ErrBadName
 				}
 				buf[n] = c
 				n++
@@ -630,6 +651,8 @@ func QueryNameInterned(data []byte, in Interner) (string, bool) {
 					c += 'a' - 'A'
 				} else if c >= 0x80 {
 					return queryNameSlow(data, in) // non-ASCII case folding
+				} else if c == '.' {
+					return "", false // Decode rejects a dot inside a label
 				}
 				buf[n] = c
 				n++

@@ -37,11 +37,17 @@ type Capture struct {
 	DNSType  uint16 // DNS only
 }
 
+// logChunk is the capture count of one Log chunk (128 KiB of Captures).
+const logChunk = 1024
+
 // Log is a thread-safe append-only capture log shared by all honeypot
-// sites.
+// sites. Captures live in fixed-size chunks that are allocated once and
+// never copied or moved, so a log of any length grows without
+// re-copying what it already holds.
 type Log struct {
-	mu       sync.Mutex
-	captures []Capture
+	mu     sync.Mutex
+	chunks [][]Capture // every chunk has cap logChunk; all but the last are full
+	n      int
 }
 
 // NewLog returns an empty log.
@@ -51,15 +57,16 @@ func NewLog() *Log { return &Log{} }
 func (l *Log) Append(c Capture) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.captures = append(l.captures, c)
+	if l.n%logChunk == 0 {
+		l.chunks = append(l.chunks, make([]Capture, 0, logChunk))
+	}
+	last := &l.chunks[len(l.chunks)-1]
+	*last = append(*last, c)
+	l.n++
 }
 
 // Snapshot copies the log contents.
-func (l *Log) Snapshot() []Capture {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return append([]Capture(nil), l.captures...)
-}
+func (l *Log) Snapshot() []Capture { return l.SnapshotFrom(0) }
 
 // SnapshotFrom copies the captures from index i on: the tail a consumer
 // that has already processed the first i needs. An i at or past the end
@@ -67,17 +74,23 @@ func (l *Log) Snapshot() []Capture {
 func (l *Log) SnapshotFrom(i int) []Capture {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if i >= len(l.captures) {
+	if i >= l.n {
 		return nil
 	}
-	return append([]Capture(nil), l.captures[i:]...)
+	out := make([]Capture, 0, l.n-i)
+	first := i / logChunk
+	out = append(out, l.chunks[first][i%logChunk:]...)
+	for _, ch := range l.chunks[first+1:] {
+		out = append(out, ch...)
+	}
+	return out
 }
 
 // Len reports the number of captures.
 func (l *Log) Len() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return len(l.captures)
+	return l.n
 }
 
 // Site is one honeypot location: an authoritative DNS server and a honey
@@ -131,6 +144,11 @@ type Deployment struct {
 	dec dnswire.Message
 	//shadowlint:eventloop
 	resp dnswire.Message
+
+	// notFound and homepageResp are the static HTTP replies, encoded once
+	// at deploy time; the host copies a reply into its packet, so every
+	// request can share them.
+	notFound, homepageResp []byte
 
 	m deploymentMetrics
 }
@@ -186,6 +204,9 @@ func Deploy(n *netsim.Network, cfg Config, sites []*Site, registry interface {
 		recordTTL: ttl,
 		codec:     cfg.Codec,
 		m:         newDeploymentMetrics(tele.Registry),
+
+		notFound:     httpwire.NewResponse(404, "not found").Encode(),
+		homepageResp: httpwire.NewResponse(200, HomepageHTML).Encode(),
 	}
 	for _, s := range sites {
 		d.webAddrs = append(d.webAddrs, s.WebAddr)
@@ -275,9 +296,9 @@ func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, 
 		d.homepage++
 		d.mu.Unlock()
 		d.m.homepageVisits.Inc()
-		return httpwire.NewResponse(200, HomepageHTML).Encode()
+		return d.homepageResp
 	}
-	return httpwire.NewResponse(404, "not found").Encode()
+	return d.notFound
 }
 
 // handleTLS answers ClientHellos with a minimal ServerHello and logs SNI.

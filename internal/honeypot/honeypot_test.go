@@ -1,6 +1,8 @@
 package honeypot
 
 import (
+	"fmt"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -269,5 +271,88 @@ func TestLogSnapshotFrom(t *testing.T) {
 	tail[0].Domain = "mutated"
 	if log.Snapshot()[1].Domain == "mutated" {
 		t.Error("SnapshotFrom must copy")
+	}
+}
+
+// TestLogChunkBoundaries fills a log past three chunks and reads it back
+// from every index that sits on or next to a chunk boundary.
+func TestLogChunkBoundaries(t *testing.T) {
+	log := NewLog()
+	total := 3*logChunk + 17
+	var want []Capture
+	for i := 0; i < total; i++ {
+		c := Capture{Domain: fmt.Sprintf("d%d", i), DNSType: uint16(i)}
+		want = append(want, c)
+		log.Append(c)
+	}
+	if log.Len() != total {
+		t.Fatalf("Len = %d, want %d", log.Len(), total)
+	}
+	if got := log.Snapshot(); !reflect.DeepEqual(got, want) {
+		t.Fatalf("Snapshot differs from the appended sequence (len %d, want %d)", len(got), len(want))
+	}
+	var starts []int
+	for _, b := range []int{0, logChunk, 2 * logChunk, 3 * logChunk} {
+		starts = append(starts, b-1, b, b+1)
+	}
+	starts = append(starts[1:], total-1, total, total+5)
+	for _, i := range starts {
+		got := log.SnapshotFrom(i)
+		if i >= total {
+			if got != nil {
+				t.Errorf("SnapshotFrom(%d) past the end = %d captures, want nil", i, len(got))
+			}
+			continue
+		}
+		if !reflect.DeepEqual(got, want[i:]) {
+			t.Errorf("SnapshotFrom(%d) = %d captures, want the %d from index %d on", i, len(got), total-i, i)
+		}
+	}
+	if NewLog().Snapshot() != nil {
+		t.Error("an empty log's Snapshot should be nil")
+	}
+}
+
+// TestLogConcurrentAppendSnapshotFrom runs appenders against a reader
+// tailing the log, as a live consumer would; under -race it also checks
+// the chunked log's locking. Each appender's captures carry a sequence, so
+// every snapshot must show each appender's captures in order.
+func TestLogConcurrentAppendSnapshotFrom(t *testing.T) {
+	log := NewLog()
+	const writers, per = 4, logChunk + 300
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				log.Append(Capture{Location: fmt.Sprint(w), DNSType: uint16(i)})
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	next := make(map[string]uint16)
+	read := 0
+	check := func() {
+		for _, c := range log.SnapshotFrom(read) {
+			if c.DNSType != next[c.Location] {
+				t.Fatalf("writer %s: capture %d after %d", c.Location, c.DNSType, next[c.Location])
+			}
+			next[c.Location]++
+			read++
+		}
+	}
+	for {
+		select {
+		case <-done:
+			check()
+			if read != writers*per || log.Len() != read {
+				t.Fatalf("read %d captures, Len %d, want %d", read, log.Len(), writers*per)
+			}
+			return
+		default:
+			check()
+		}
 	}
 }

@@ -203,18 +203,28 @@ func decodeBase32(s string, out []byte) ([]byte, error) {
 	return out, nil
 }
 
-// crc16 computes CRC-16/CCITT-FALSE.
-func crc16(data []byte) uint16 {
-	crc := uint16(0xFFFF)
-	for _, b := range data {
-		crc ^= uint16(b) << 8
-		for i := 0; i < 8; i++ {
+// crc16Table holds the CRC-16/CCITT-FALSE (polynomial 0x1021) remainder
+// of every byte value shifted into the register's high byte.
+var crc16Table = func() (t [256]uint16) {
+	for i := range t {
+		crc := uint16(i) << 8
+		for k := 0; k < 8; k++ {
 			if crc&0x8000 != 0 {
 				crc = crc<<1 ^ 0x1021
 			} else {
 				crc <<= 1
 			}
 		}
+		t[i] = crc
+	}
+	return t
+}()
+
+// crc16 computes CRC-16/CCITT-FALSE, one table lookup per byte.
+func crc16(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc = crc<<8 ^ crc16Table[byte(crc>>8)^b]
 	}
 	return crc
 }

@@ -173,6 +173,35 @@ func TestCRC16Vector(t *testing.T) {
 	}
 }
 
+// crc16Bitwise is the bit-at-a-time CRC-16/CCITT-FALSE the table-driven
+// crc16 replaced, kept as its reference.
+func crc16Bitwise(data []byte) uint16 {
+	crc := uint16(0xFFFF)
+	for _, b := range data {
+		crc ^= uint16(b) << 8
+		for i := 0; i < 8; i++ {
+			if crc&0x8000 != 0 {
+				crc = crc<<1 ^ 0x1021
+			} else {
+				crc <<= 1
+			}
+		}
+	}
+	return crc
+}
+
+func TestCRC16MatchesBitwise(t *testing.T) {
+	rng := rand.New(rand.NewSource(16))
+	buf := make([]byte, 64)
+	for i := 0; i < 5000; i++ {
+		data := buf[:rng.Intn(len(buf)+1)]
+		rng.Read(data)
+		if got, want := crc16(data), crc16Bitwise(data); got != want {
+			t.Fatalf("crc16(%x) = %#04x, bitwise reference %#04x", data, got, want)
+		}
+	}
+}
+
 func BenchmarkEncode(b *testing.B) {
 	c := NewCodec(epoch)
 	id := ID{Time: epoch.Add(time.Hour), VP: wire.AddrFrom(1, 2, 3, 4), Dst: wire.AddrFrom(5, 6, 7, 8), TTL: 64}

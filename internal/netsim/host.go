@@ -35,11 +35,27 @@ type Host struct {
 
 // UDPService handles datagrams arriving on a UDP port. Return a non-nil
 // reply to answer the sender (a nil return means no response).
+//
+// Payload ownership, here and for TCPApp, UDPRequestOpts.OnReply and
+// TCPRequestOpts.OnResponse: the payload slice aliases the delivered
+// packet's own buffer, with no copy. That buffer is immutable once
+// delivered and never reused (releaseFlight drops it; it is never pooled),
+// so a handler may keep the slice, or sub-slices of it, for as long as it
+// likes. A handler must not write to it; its capacity is capped at its
+// length, so an append always copies. The reply is copied into a fresh
+// packet before the handler's next call, so it may be scratch or a shared
+// constant.
 type UDPService func(n *Network, from wire.Endpoint, payload []byte) []byte
 
 // TCPApp handles one request payload on an accepted TCP "connection" and
-// returns the response payload.
+// returns the response payload. Payload and reply follow UDPService's
+// ownership rule.
 type TCPApp func(n *Network, from wire.Endpoint, payload []byte) []byte
+
+// payloadOf is the delivered-payload view every handler receives: the
+// packet's transport payload itself, capacity-capped so an append by the
+// handler cannot reach the packet buffer.
+func payloadOf(p []byte) []byte { return p[:len(p):len(p)] }
 
 // NewHost creates a host and registers it on the network.
 func NewHost(n *Network, addr wire.Addr) *Host {
@@ -94,8 +110,7 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 	from := wire.Endpoint{Addr: pkt.IP.Src, Port: pkt.UDP.SrcPort}
 	// Server side.
 	if svc, ok := h.udpServices[pkt.UDP.DstPort]; ok {
-		payload := append([]byte(nil), pkt.UDP.Payload()...)
-		if reply := svc(n, from, payload); reply != nil {
+		if reply := svc(n, from, payloadOf(pkt.UDP.Payload())); reply != nil {
 			h.sendUDPRaw(n, wire.Endpoint{Addr: h.Addr, Port: pkt.UDP.DstPort}, from, 64, reply)
 		}
 		return true
@@ -109,7 +124,7 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 		cb := w.onReply
 		w.onReply, w.onTimeout = nil, nil
 		if cb != nil {
-			cb(n, append([]byte(nil), pkt.UDP.Payload()...))
+			cb(n, payloadOf(pkt.UDP.Payload()))
 		}
 		return true
 	}
@@ -181,7 +196,8 @@ type UDPRequestOpts struct {
 	TTL     uint8         // initial IP TTL; 0 means 64
 	IPID    uint16        // 0 means auto-assign
 	Timeout time.Duration // 0 means 5s of virtual time
-	// OnReply receives the response payload (nil-safe).
+	// OnReply receives the response payload (nil-safe), aliasing the
+	// delivered packet under UDPService's ownership rule.
 	OnReply func(n *Network, payload []byte)
 	// OnTimeout fires if no reply arrived before Timeout (nil-safe).
 	OnTimeout func(n *Network)
@@ -265,7 +281,8 @@ type TCPRequestOpts struct {
 	TTL     uint8
 	IPID    uint16
 	Timeout time.Duration
-	// OnResponse receives the server's response payload.
+	// OnResponse receives the server's response payload, aliasing the
+	// delivered packet under UDPService's ownership rule.
 	OnResponse func(n *Network, payload []byte)
 	// OnFail fires on handshake/response timeout.
 	OnFail func(n *Network)
@@ -366,7 +383,7 @@ func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
 		fl.state = flowClosed
 		delete(h.tcpFlows, key)
 		if fl.onResponse != nil {
-			fl.onResponse(n, append([]byte(nil), t.Payload()...))
+			fl.onResponse(n, payloadOf(t.Payload()))
 		}
 		return true
 	}
@@ -387,8 +404,7 @@ func (h *Host) serveTCP(n *Network, app TCPApp, from wire.Endpoint, t *wire.TCP)
 			n.InjectOwned(raw)
 		}
 	case len(t.Payload()) > 0:
-		payload := append([]byte(nil), t.Payload()...)
-		resp := app(n, from, payload)
+		resp := app(n, from, payloadOf(t.Payload()))
 		if resp == nil {
 			return
 		}

@@ -1,6 +1,7 @@
 package netsim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -188,6 +189,95 @@ func TestConcurrentUDPRequestsSameDst(t *testing.T) {
 	n.RunUntilIdle()
 	if len(got) != 3 {
 		t.Errorf("got %v, want 3 distinct replies", got)
+	}
+}
+
+// payloadTap records where every non-empty transport payload crossing its
+// router lives: the address of its first byte in the in-flight buffer.
+type payloadTap struct{ seen map[*byte]bool }
+
+func (p *payloadTap) Observe(_ *Network, _ *Router, pkt *wire.Packet) {
+	var pl []byte
+	switch {
+	case pkt.UDP != nil:
+		pl = pkt.UDP.Payload()
+	case pkt.TCP != nil:
+		pl = pkt.TCP.Payload()
+	}
+	if len(pl) > 0 {
+		p.seen[&pl[0]] = true
+	}
+}
+
+// TestDeliveredPayloadsAliasPacketBuffer checks the packet-ownership rule
+// on all four delivery paths: a UDP service, a UDP reply callback, a TCP
+// app and a TCP response callback each get a slice of the delivered
+// packet's own buffer (the one taps saw in flight), capacity-capped, and
+// the bytes a handler kept stay unchanged while the network goes on to
+// dispatch more traffic through the same pooled flights and events.
+func TestDeliveredPayloadsAliasPacketBuffer(t *testing.T) {
+	n, routers := twoRouterNet()
+	tap := &payloadTap{seen: make(map[*byte]bool)}
+	routers[1].AttachTap(tap)
+	client := NewHost(n, wire.AddrFrom(100, 0, 0, 1))
+	server := NewHost(n, wire.AddrFrom(192, 0, 2, 80))
+
+	type kept struct {
+		who  string
+		b    []byte
+		want string
+	}
+	var held []kept
+	holding := true
+	hold := func(who string, b []byte) {
+		if !holding {
+			return
+		}
+		if len(b) == 0 || !tap.seen[&b[0]] {
+			t.Errorf("%s payload %q is not the delivered packet's buffer", who, b)
+		}
+		if cap(b) != len(b) {
+			t.Errorf("%s payload has cap %d beyond its len %d: an append would write into the packet", who, cap(b), len(b))
+		}
+		held = append(held, kept{who, b, string(b)})
+	}
+	server.ServeUDP(53, func(n *Network, from wire.Endpoint, payload []byte) []byte {
+		hold("UDPService", payload)
+		return append([]byte("re:"), payload...)
+	})
+	server.ServeTCP(80, func(n *Network, from wire.Endpoint, payload []byte) []byte {
+		hold("TCPApp", payload)
+		return append([]byte("HTTP/1.1 200 OK\r\n\r\n"), payload...)
+	})
+	send := func(i int) {
+		client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte(fmt.Sprintf("query-%d", i)), UDPRequestOpts{
+			OnReply: func(n *Network, payload []byte) { hold("OnReply", payload) },
+		})
+		client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, []byte(fmt.Sprintf("GET /%d", i)), TCPRequestOpts{
+			OnResponse: func(n *Network, payload []byte) { hold("OnResponse", payload) },
+		})
+	}
+	send(0)
+	// A datagram whose buffer has spare capacity past its payload: only
+	// the cap on the delivered slice keeps an append out of that space.
+	raw, err := wire.BuildUDP(wire.Endpoint{Addr: client.Addr, Port: 4000}, wire.Endpoint{Addr: server.Addr, Port: 53}, 64, 1, []byte("spare"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.InjectOwned(append(make([]byte, 0, len(raw)+32), raw...))
+	n.RunUntilIdle()
+	if len(held) != 5 {
+		t.Fatalf("handlers kept %d payloads, want 5 (two UDP services, then one per other path)", len(held))
+	}
+	holding = false
+	for i := 1; i <= 64; i++ {
+		send(i)
+	}
+	n.RunUntilIdle()
+	for _, k := range held {
+		if string(k.b) != k.want {
+			t.Errorf("%s payload changed after later traffic: %q, was %q", k.who, k.b, k.want)
+		}
 	}
 }
 

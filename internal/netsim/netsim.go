@@ -19,6 +19,12 @@
 // comes first, and merging two sorted sources always yields the least key,
 // so the order is the same as one queue's. All execution is single
 // goroutine and fully deterministic for a given seed and call order.
+//
+// Packet ownership: a packet buffer is written only while it is built and,
+// in flight, by the per-hop TTL rewrite. Once delivered it is immutable and
+// never reused, so hosts hand each handler a slice of the delivered buffer
+// itself instead of a copy (see UDPService), and that slice stays valid for
+// the rest of the run.
 package netsim
 
 import (

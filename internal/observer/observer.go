@@ -171,6 +171,12 @@ type Exhibitor struct {
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
+	// dec is reply-decode scratch under the same contract: resolve's reply
+	// callback reads only the first A record's address out of it before
+	// returning.
+	//
+	//shadowlint:eventloop
+	dec dnswire.Message
 	// launchBuf is ObserveDomain's scratch for the probes one observation
 	// schedules; each Schedule closure captures its element by value, so
 	// the backing array is reusable on the next observation.
@@ -325,11 +331,10 @@ func (e *Exhibitor) resolve(n *netsim.Network, origin Origin, domain string, onA
 			if onA == nil {
 				return
 			}
-			msg, err := dnswire.Decode(resp)
-			if err != nil {
+			if err := dnswire.DecodeInto(&e.dec, resp); err != nil {
 				return
 			}
-			for _, a := range msg.Answers {
+			for _, a := range e.dec.Answers {
 				if a.Type == dnswire.TypeA {
 					onA(a.Addr)
 					return

@@ -144,16 +144,17 @@ type Service struct {
 	stats   ServiceStats
 	clients map[wire.Addr]bool
 
-	// enc is reply-encode scratch: handlers run on the world's single
-	// event-loop goroutine and every reply is copied into its packet (or
-	// HTTP envelope) before the next encode, so one encoder per service is
-	// safe. Upstream queries captured by retry closures still use Encode.
+	// enc is encode scratch for replies and upstream queries: handlers run
+	// on the world's single event-loop goroutine and every message is
+	// copied into its packet (or HTTP envelope) before the next encode, so
+	// one encoder per service is safe. Only the scheduled ExtraRetries
+	// duplicates, which send later, keep their own copy of the query.
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
 	// upq is upstream-query scratch under the same single-goroutine
-	// contract: the Message is serialized (into a fresh, ownable payload
-	// buffer) before recurse/recurseDoH return, so nothing retains it.
+	// contract: the Message is serialized and sent before recurse and
+	// recurseDoH return, so nothing retains it.
 	//
 	//shadowlint:eventloop
 	upq dnswire.Message
@@ -266,7 +267,7 @@ func (s *Service) recurseDoH(n *netsim.Network, inst *Instance, q *dnswire.Messa
 	upstream := &s.upq
 	dnswire.QueryInto(upstream, q.Header.ID, q.QName(), q.QType())
 	upstream.Header.RD = false
-	upPayload, err := upstream.Encode()
+	upPayload, err := upstream.AppendEncode(&s.enc)
 	if err != nil {
 		return
 	}
@@ -427,7 +428,7 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 	upstream := &s.upq
 	dnswire.QueryInto(upstream, q.Header.ID, q.QName(), q.QType())
 	upstream.Header.RD = false
-	upPayload, err := upstream.Encode()
+	upPayload, err := upstream.AppendEncode(&s.enc)
 	if err != nil {
 		return
 	}
@@ -477,13 +478,19 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 			return
 		}
 	}
+	if inst.ExtraRetries <= 0 {
+		return
+	}
+	// upPayload aliases s.enc, which the next encode overwrites; the
+	// duplicates send later, so they share one copy of the query.
+	retry := append([]byte(nil), upPayload...)
 	for i := 0; i < inst.ExtraRetries; i++ {
 		delay := inst.RetryDelay * time.Duration(i+1)
 		n.Schedule(delay, func() {
 			s.mu.Lock()
 			s.stats.RetriesIssued++
 			s.mu.Unlock()
-			egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, upPayload, netsim.UDPRequestOpts{
+			egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, retry, netsim.UDPRequestOpts{
 				Timeout: 3 * time.Second,
 			})
 		})

@@ -146,6 +146,53 @@ func TestResolverBenignRetries(t *testing.T) {
 	_ = svc
 }
 
+// TestResolverRetriesResendTheUpstreamQuery checks what the benign
+// duplicates carry, not just how many arrive: the upstream query is
+// encoded into the service's reused scratch, which later queries and
+// replies overwrite before the duplicates go out, so each duplicate must
+// resend its own copy of the query it repeats.
+func TestResolverRetriesResendTheUpstreamQuery(t *testing.T) {
+	n, geo := testWorld()
+	registry := NewRegistry()
+	authAddr := wire.MustParseAddr("198.51.100.53")
+	seen := make(map[string]int)
+	auth := netsim.NewHost(n, authAddr)
+	auth.ServeUDP(53, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
+		q, err := dnswire.Decode(payload)
+		if err != nil || q.Header.QR || q.Header.RD {
+			t.Errorf("auth got %x, want an upstream query (QR and RD clear): %v", payload, err)
+			return nil
+		}
+		seen[q.QName()]++
+		resp := dnswire.NewResponse(q, dnswire.RcodeNoError)
+		resp.Answers = append(resp.Answers, dnswire.RR{
+			Name: q.QName(), Type: dnswire.TypeA, TTL: 3600, Addr: wire.MustParseAddr("203.0.113.10"),
+		})
+		raw, _ := resp.Encode()
+		return raw
+	})
+	registry.Delegate("experiment.domain", authAddr)
+	svc := NewService(n, "Yandex", wire.MustParseAddr("77.88.8.8"), registry, geo)
+	egress := netsim.NewHost(n, wire.MustParseAddr("77.88.9.1"))
+	svc.AddInstance(&Instance{Name: "default", Egress: []*netsim.Host{egress}, ExtraRetries: 2})
+
+	client := netsim.NewHost(n, wire.MustParseAddr("100.64.0.1"))
+	names := []string{"one.www.experiment.domain", "two.www.experiment.domain", "three.www.experiment.domain"}
+	for i, name := range names {
+		payload, err := dnswire.NewQuery(uint16(i+1), name, dnswire.TypeA).Encode()
+		if err != nil {
+			t.Fatal(err)
+		}
+		client.SendUDPRequest(n, wire.Endpoint{Addr: svc.Addr, Port: 53}, payload, netsim.UDPRequestOpts{Timeout: 30 * time.Second})
+	}
+	n.RunUntilIdle()
+	for _, name := range names {
+		if seen[name] != 3 {
+			t.Errorf("auth saw %q %d times, want 3 (query + 2 duplicates); all arrivals: %v", name, seen[name], seen)
+		}
+	}
+}
+
 func TestResolverServfailOnUnknownZone(t *testing.T) {
 	n, geo := testWorld()
 	svc, _, client := buildResolver(n, geo, 0)

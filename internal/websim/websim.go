@@ -115,20 +115,27 @@ func Build(n *netsim.Network, topo *topology.Topology, cfg Config) *Fleet {
 	return f
 }
 
-// deploySite registers the HTTP and TLS services of one front-end.
+// deploySite registers the HTTP and TLS services of one front-end. Its
+// 200 response and ServerHello never vary, so both are encoded once here;
+// the host copies a reply into its packet, so every request shares them.
 func deploySite(n *netsim.Network, site *Site) {
 	host := netsim.NewHost(n, site.Addr)
 	body := fmt.Sprintf("<html><body>%s (rank %d)</body></html>", site.Domain, site.Rank)
+	ok := httpwire.NewResponse(200, body).Encode()
+	sh := tlswire.ServerHello{Version: tlswire.VersionTLS12, CipherSuite: 0x1302}
+	copy(sh.Random[:], site.Domain)
+	hello := sh.Encode()
 	host.ServeTCP(80, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-		if _, err := httpwire.ParseRequest(payload); err != nil {
+		req, err := httpwire.ParseRequest(payload)
+		if err != nil {
 			return httpwire.NewResponse(400, "bad request").Encode()
 		}
 		// Top sites answer regardless of Host header (the decoy's Host
 		// mismatches the front-end on purpose, see Section 3 footnote 1).
-		if req, err := httpwire.ParseRequest(payload); err == nil && site.OnHost != nil {
+		if site.OnHost != nil {
 			site.OnHost(n, req.Host(), from.Addr)
 		}
-		return httpwire.NewResponse(200, body).Encode()
+		return ok
 	})
 	host.ServeTCP(443, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
 		ch, err := tlswire.ParseClientHello(payload)
@@ -147,9 +154,7 @@ func deploySite(n *netsim.Network, site *Site) {
 				site.OnSNI(n, name, from.Addr)
 			}
 		}
-		sh := tlswire.ServerHello{Version: tlswire.VersionTLS12, CipherSuite: 0x1302}
-		copy(sh.Random[:], site.Domain)
-		return sh.Encode()
+		return hello
 	})
 }
 

@@ -59,6 +59,13 @@ echo "== wire per-hop decode fuzz smoke"
 # the plain test pass; this adds a short coverage-guided search.
 go test -run '^$' -fuzz '^FuzzParserDecode$' -fuzztime 10s ./internal/wire
 
+echo "== dnswire decode fuzz smoke"
+# Arbitrary bytes (the realnet honeypot decodes whatever scanners send)
+# must never panic the DNS decoder, and every message it accepts that the
+# encoder can express must survive encode -> decode unchanged. A crasher
+# lands in internal/dnswire/testdata/fuzz/ and belongs in the commit.
+go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/dnswire
+
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce
 # byte-identical exports across separate processes. A diff here usually
@@ -335,6 +342,18 @@ allocs=$(go test -run '^$' -bench BenchmarkHopLane -benchmem ./internal/netsim |
 echo "BenchmarkHopLane: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "hop-lane allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+
+echo "== dnswire scratch-encode allocation gate"
+# Resolvers, honeypots and exhibitors encode every DNS message into a
+# reused Encoder; once warmed, its buffer and compression table must
+# absorb a message without allocating.
+allocs=$(go test -run '^$' -bench BenchmarkAppendEncode -benchmem ./internal/dnswire |
+    awk '/BenchmarkAppendEncode/ {print $(NF-1)}')
+echo "BenchmarkAppendEncode: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "scratch DNS encode allocations regressed: $allocs allocs/op (gate: 0)" >&2
     exit 1
 fi
 

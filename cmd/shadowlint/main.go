@@ -4,14 +4,13 @@
 //
 // Usage:
 //
-//	shadowlint [-json] [-list] [-p N] [packages...]
+//	shadowlint [-json] [-list] [packages...]
 //
 // Package patterns are module-relative ("./...", "internal/wire",
 // "./cmd/tracer"); the default is "./...". Analysis is whole-program:
-// all packages load through one type-checker, then analyze on -p
-// concurrent workers (default GOMAXPROCS); output is byte-identical at
-// any -p. Exit status is 1 when any finding is reported, 2 on a load or
-// usage error.
+// all packages load through one type-checker, then each is analyzed in
+// turn; diagnostics print sorted by position. Exit status is 1 when any
+// finding is reported, 2 on a load or usage error.
 package main
 
 import (
@@ -27,9 +26,8 @@ import (
 func main() {
 	jsonOut := flag.Bool("json", false, "emit one JSON diagnostic object per line plus a summary line")
 	list := flag.Bool("list", false, "list the analyzers and exit")
-	workers := flag.Int("p", 0, "per-package analysis workers (0 = GOMAXPROCS)")
 	flag.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: shadowlint [-json] [-list] [-p N] [packages...]\n")
+		fmt.Fprintf(os.Stderr, "usage: shadowlint [-json] [-list] [packages...]\n")
 		flag.PrintDefaults()
 	}
 	flag.Parse()
@@ -58,7 +56,7 @@ func main() {
 	if err != nil {
 		fail(err)
 	}
-	diags, err := lint.Run(loader, paths, analyzers, *workers)
+	diags, err := lint.Run(loader, paths, analyzers)
 	if err != nil {
 		fail(err)
 	}

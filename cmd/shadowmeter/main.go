@@ -6,8 +6,7 @@
 //
 //	shadowmeter [-seed N] [-scale small|medium|full] [-intercepted N]
 //	            [-trials N] [-workers W] [-out DIR] [-shard i/N]
-//	            [-resume] [-compact]
-//	            [-phase1-only] [-json-stats] [-cold-topology]
+//	            [-resume] [-phase1-only] [-json-stats] [-mitigations]
 //	            [-metrics] [-metrics-json] [-progress N]
 //	            [-watch ADDR] [-occupancy-json PATH] [-flight-dir DIR]
 package main
@@ -44,7 +43,6 @@ type options struct {
 	metrics       bool
 	metricsJSON   bool
 	mitigations   bool
-	compact       bool
 	watch         string
 	occupancyJSON string
 	flightDir     string
@@ -55,11 +53,6 @@ type options struct {
 // is a campaign of size one, with batch (aggregate JSON) output.
 func (o options) batch() bool { return o.trials > 1 || o.out != "" }
 
-// validate enforces the flag-interaction contract. Batch stdout carries
-// exactly one document — the aggregate batch JSON, or with -metrics-json
-// the merged telemetry export — so flags that would smuggle a second
-// document (or silently do nothing) are rejected rather than defined
-// by accident.
 // parseShard parses a -shard value "i/N" into a shard index and count.
 // The geometry must be well-formed here; whether it matches an existing
 // store is checked against the manifest when the store opens.
@@ -82,6 +75,11 @@ func parseShard(s string) (index, count int, err error) {
 	return index, count, nil
 }
 
+// validate enforces the flag-interaction contract. Batch stdout carries
+// exactly one document — the aggregate batch JSON, or with -metrics-json
+// the merged telemetry export — so flags that would smuggle a second
+// document (or silently do nothing) are rejected rather than defined
+// by accident.
 func (o options) validate() error {
 	if o.shard != "" {
 		_, count, err := parseShard(o.shard)
@@ -97,9 +95,6 @@ func (o options) validate() error {
 	}
 	if o.resume && o.out == "" {
 		return fmt.Errorf("-resume requires -out DIR: there is no campaign to resume without a store")
-	}
-	if o.compact && o.out == "" {
-		return fmt.Errorf("-compact requires -out DIR: there is no campaign log to compact without a store")
 	}
 	if o.out != "" && o.mitigations {
 		return fmt.Errorf("-out is incompatible with -mitigations: only main-experiment trials are persisted")
@@ -146,14 +141,12 @@ func main() {
 		out         = flag.String("out", "", "campaign directory: durably persist each completed trial (implies batch output, even for -trials 1)")
 		shard       = flag.String("shard", "", "run only slice i/N of the trial plan into the -out shard store (e.g. 0/2 and 1/2 partition the plan; fold with `shadowstore merge`)")
 		resume      = flag.Bool("resume", false, "serve trials already stored in the -out campaign instead of re-running them (byte-identical output)")
-		compact     = flag.Bool("compact", false, "compact the -out campaign log after the batch: newest record per trial, dead bytes dropped")
 		phase1Only  = flag.Bool("phase1-only", false, "stop after the Phase I landscape (skip tracerouting)")
 		jsonStats   = flag.Bool("json-stats", false, "append machine-readable summary statistics as JSON (single runs only)")
 		mitigations = flag.Bool("mitigations", false, "run the encryption mitigation study (ECH, DoH) instead of the main experiment")
 		metrics     = flag.Bool("metrics", false, "append the telemetry summary table to stderr after the report (single runs only)")
 		metricsJSON = flag.Bool("metrics-json", false, "print ONLY the telemetry export as JSON on stdout; in batch mode, the merged per-trial export (byte-identical for identical seeds)")
 		progressN   = flag.Int64("progress", 0, "single run: report progress to stderr every N simulation events; batch: any N > 0 prints one stderr line per completed trial (0 disables)")
-		coldTopo    = flag.Bool("cold-topology", false, "rebuild the topology from scratch for every trial instead of sharing a blueprint (output must be byte-identical either way)")
 		watchAddr   = flag.String("watch", "", "serve the live observability plane on ADDR (/healthz, /campaign, /progress, /metrics, /debug/pprof); batch mode only, provably inert")
 		occJSON     = flag.String("occupancy-json", "", "write the worker-occupancy report (busy/idle/merge-wait per worker, trial wall-time histogram) to PATH after the batch")
 		flightDir   = flag.String("flight-dir", "", "flight-recorder dump directory for panicking or slow trials (default: the -out campaign directory)")
@@ -161,7 +154,7 @@ func main() {
 	flag.Parse()
 
 	opts := options{
-		trials: *trials, out: *out, shard: *shard, resume: *resume, compact: *compact,
+		trials: *trials, out: *out, shard: *shard, resume: *resume,
 		phase1Only: *phase1Only, jsonStats: *jsonStats,
 		metrics: *metrics, metricsJSON: *metricsJSON,
 		mitigations: *mitigations,
@@ -199,8 +192,7 @@ func main() {
 			trials: *trials, workers: *workers, baseSeed: *seed,
 			cfg: cfg, scaleName: *scale,
 			shardIndex: shardIndex, shardCount: shardCount,
-			metricsJSON: *metricsJSON, outDir: *out, resume: *resume, compact: *compact,
-			coldTopo:  *coldTopo,
+			metricsJSON: *metricsJSON, outDir: *out, resume: *resume,
 			watchAddr: *watchAddr, occupancyPath: *occJSON,
 			flightDir: *flightDir, progress: *progressN > 0,
 		})
@@ -283,8 +275,6 @@ type batchParams struct {
 	metricsJSON bool
 	outDir      string
 	resume      bool
-	compact     bool
-	coldTopo    bool
 	// watchAddr, when non-empty, serves the observability plane there.
 	watchAddr string
 	// occupancyPath, when non-empty, receives the worker-occupancy JSON.
@@ -323,7 +313,7 @@ const stalledCheckInterval = 2 * time.Second
 // the plane on or off.
 func runBatch(p batchParams) {
 	started := time.Now()
-	rcfg := runner.Config{Trials: p.trials, Workers: p.workers, BaseSeed: p.baseSeed, Core: p.cfg, ColdTopology: p.coldTopo}
+	rcfg := runner.Config{Trials: p.trials, Workers: p.workers, BaseSeed: p.baseSeed, Core: p.cfg}
 	span := runner.Slice{From: 0, To: p.trials}
 	if p.shardCount > 0 {
 		span = runner.ShardSlice(p.trials, p.shardIndex, p.shardCount)
@@ -464,14 +454,6 @@ func runBatch(p batchParams) {
 	if st != nil {
 		if res.StoreErr != nil {
 			log.Fatalf("persisting trials: %v", res.StoreErr)
-		}
-		if p.compact {
-			cs, err := st.Compact()
-			if err != nil {
-				log.Fatalf("compacting campaign store: %v", err)
-			}
-			fmt.Fprintf(os.Stderr, "store %s: compacted, kept %d records, %d -> %d bytes (reclaimed %d)\n",
-				p.outDir, cs.Kept, cs.BytesBefore, cs.BytesAfter, cs.Reclaimed)
 		}
 		if err := st.Close(); err != nil {
 			log.Fatalf("closing campaign store: %v", err)

@@ -21,8 +21,6 @@ func TestFlagValidation(t *testing.T) {
 		{"campaign", options{trials: 4, out: "camp"}, ""},
 		{"campaign of one", options{trials: 1, out: "camp"}, ""},
 		{"campaign resume", options{trials: 4, out: "camp", resume: true}, ""},
-		{"campaign compact", options{trials: 4, out: "camp", compact: true}, ""},
-		{"campaign resume and compact", options{trials: 4, out: "camp", resume: true, compact: true}, ""},
 		{"mitigations alone", options{trials: 1, mitigations: true}, ""},
 		{"mitigations with phase1-only tolerated", options{trials: 1, mitigations: true, phase1Only: true}, ""},
 		{"batch with watch", options{trials: 4, watch: "127.0.0.1:0"}, ""},
@@ -47,7 +45,6 @@ func TestFlagValidation(t *testing.T) {
 		{"shard index past count", options{trials: 4, out: "camp", shard: "5/2"}, "out of range"},
 		{"shard negative index", options{trials: 4, out: "camp", shard: "-1/2"}, "out of range"},
 		{"more shards than trials", options{trials: 2, out: "camp", shard: "0/4"}, "at least one shard would be empty"},
-		{"compact without out", options{trials: 4, compact: true}, "-compact requires -out"},
 		{"single run with watch", options{trials: 1, watch: "127.0.0.1:0"}, "-watch requires batch mode"},
 		{"single run with occupancy json", options{trials: 1, occupancyJSON: "occ.json"}, "-occupancy-json requires batch mode"},
 		{"single run with flight dir", options{trials: 1, flightDir: "dumps"}, "-flight-dir requires batch mode"},

@@ -281,9 +281,6 @@ func cmdTail(args []string) error {
 	if err != nil {
 		return err
 	}
-	if !runstore.VersionSupported(man.Version) {
-		return fmt.Errorf("tail: campaign %s has store version %d; this build speaks versions up to %d", dir, man.Version, runstore.StoreVersion)
-	}
 	fmt.Printf("tailing campaign %s\n  scale %s, config %.12s, seeds %d..%d, %d trials expected\n\n",
 		dir, man.Scale, man.ConfigHash, man.BaseSeed, man.BaseSeed+int64(man.Trials)-1, man.Trials)
 	fmt.Printf("%5s %8s %12s %10s %12s %10s %8s\n",

@@ -371,14 +371,6 @@ func Run(cfg Config) *Report {
 	return e.Compile()
 }
 
-// AllEvents concatenates Phase I and Phase II unsolicited events.
-func (e *Experiment) AllEvents() []correlate.Unsolicited {
-	out := make([]correlate.Unsolicited, 0, len(e.EventsPhaseI)+len(e.EventsPhaseII))
-	out = append(out, e.EventsPhaseI...)
-	out = append(out, e.EventsPhaseII...)
-	return out
-}
-
 // Compile runs the full behavioral analysis over collected evidence.
 func (e *Experiment) Compile() *Report {
 	var r *Report

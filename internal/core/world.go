@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"time"
 
 	"shadowmeter/internal/decoy"
 	"shadowmeter/internal/honeypot"
@@ -469,6 +468,3 @@ func (w *World) asOrigins(as *topology.AS, count int, blockedFrac float64, resol
 	}
 	return out
 }
-
-// AdvanceTo runs the network to a virtual deadline.
-func (w *World) AdvanceTo(t time.Time) { w.Net.Run(t) }

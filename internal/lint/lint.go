@@ -5,9 +5,9 @@
 //
 // Analysis is whole-program: every requested package is loaded through
 // one shared type-checker, a cross-package call graph is built over the
-// result (see Program), and the analyzers then run in parallel, one
-// worker per package. Diagnostics are reported in a deterministic order
-// regardless of worker count.
+// result (see Program), and the analyzers then run over each package in
+// turn. Diagnostics are reported sorted by position, so the output is
+// deterministic.
 //
 // Ten analyzers ship today:
 //
@@ -55,10 +55,8 @@ import (
 	"fmt"
 	"go/ast"
 	"go/token"
-	"runtime"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // Diagnostic is one finding at a concrete file position.
@@ -106,19 +104,16 @@ func inInternal(relPath string) bool {
 }
 
 // Run loads every import path through the shared loader, builds the
-// whole-program call graph once, and applies the analyzers with up to
-// workers concurrent per-package passes (workers < 1 means GOMAXPROCS).
-// Findings covered by //shadowlint:ignore directives are dropped, and a
-// directive that covers nothing becomes a finding itself. Diagnostics
-// come back sorted by file, line, column, analyzer, message — the order
-// is byte-stable at any worker count.
-func Run(l *Loader, importPaths []string, analyzers []*Analyzer, workers int) ([]Diagnostic, error) {
+// whole-program call graph once, and applies the analyzers to each
+// package in turn. Findings covered by //shadowlint:ignore directives
+// are dropped, and a directive that covers nothing becomes a finding
+// itself. Diagnostics come back sorted by file, line, column, analyzer,
+// message.
+func Run(l *Loader, importPaths []string, analyzers []*Analyzer) ([]Diagnostic, error) {
 	known := make(map[string]bool)
 	for _, a := range analyzers {
 		known[a.Name] = true
 	}
-	// Loading is sequential: the loader memoizes packages, so this phase
-	// is the shared type-fact cache every worker reads from.
 	targets := make([]*Package, 0, len(importPaths))
 	seen := make(map[string]bool, len(importPaths))
 	for _, path := range importPaths {
@@ -133,36 +128,9 @@ func Run(l *Loader, importPaths []string, analyzers []*Analyzer, workers int) ([
 	}
 	prog := NewProgram(l)
 
-	if workers < 1 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > len(targets) {
-		workers = len(targets)
-	}
-	if workers < 1 {
-		workers = 1
-	}
-	perPkg := make([][]Diagnostic, len(targets))
-	idx := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				perPkg[i] = analyzePackage(prog, targets[i], analyzers, known)
-			}
-		}()
-	}
-	for i := range targets {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
-
 	var diags []Diagnostic
-	for _, d := range perPkg {
-		diags = append(diags, d...)
+	for _, p := range targets {
+		diags = append(diags, analyzePackage(prog, p, analyzers, known)...)
 	}
 	sort.Slice(diags, func(i, j int) bool {
 		a, b := diags[i], diags[j]
@@ -185,9 +153,7 @@ func Run(l *Loader, importPaths []string, analyzers []*Analyzer, workers int) ([
 
 // analyzePackage runs every applicable analyzer over one package,
 // filters the findings through the package's suppression directives,
-// and reports malformed, misplaced, and dead directives. Workers only
-// read the immutable Program, so this is safe to call concurrently for
-// distinct packages.
+// and reports malformed, misplaced, and dead directives.
 func analyzePackage(prog *Program, p *Package, analyzers []*Analyzer, known map[string]bool) []Diagnostic {
 	sup, malformed := collectSuppressions(p, known)
 	diags := append([]Diagnostic(nil), malformed...)

@@ -91,7 +91,7 @@ func TestAnalyzersOnFixtures(t *testing.T) {
 			for i, pkg := range tc.pkgs {
 				paths[i] = "fixture/" + pkg
 			}
-			diags, err := Run(l, paths, All(), 0)
+			diags, err := Run(l, paths, All())
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -137,7 +137,7 @@ func TestExactPositions(t *testing.T) {
 		"fixture/internal/fakewire",
 		"fixture/internal/printy",
 		"fixture/internal/hotsim",
-	}, All(), 0)
+	}, All())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -179,41 +179,12 @@ func keys(m map[string]bool) string {
 	return sb.String()
 }
 
-// TestParallelDeterminism requires byte-identical diagnostics at any
-// worker count — the property the check.sh -json smoke holds shadowlint
-// to, checked here at the library layer.
-func TestParallelDeterminism(t *testing.T) {
-	render := func(workers int) string {
-		l := openFixture(t)
-		paths, err := l.Expand([]string{"./..."})
-		if err != nil {
-			t.Fatal(err)
-		}
-		diags, err := Run(l, paths, All(), workers)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var sb strings.Builder
-		for _, d := range diags {
-			sb.WriteString(d.String())
-			sb.WriteString("\n")
-		}
-		return sb.String()
-	}
-	serial := render(1)
-	for _, workers := range []int{2, 8} {
-		if got := render(workers); got != serial {
-			t.Errorf("diagnostics differ between -p 1 and -p %d:\n%s\nvs\n%s", workers, serial, got)
-		}
-	}
-}
-
 // TestMalformedSuppressions checks that broken directives are reported
 // by the "shadowlint" pseudo-analyzer and are NOT honored: the
 // wall-clock reads they fail to cover still fire.
 func TestMalformedSuppressions(t *testing.T) {
 	l := openFixture(t)
-	diags, err := Run(l, []string{"fixture/internal/badsup"}, All(), 0)
+	diags, err := Run(l, []string{"fixture/internal/badsup"}, All())
 	if err != nil {
 		t.Fatal(err)
 	}

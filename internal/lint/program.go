@@ -66,8 +66,7 @@ func (n *Node) Name() string {
 // Program is the whole-program analysis state shared by every analyzer:
 // all packages loaded through one type-checker (the shared type-fact
 // cache), the cross-package call graph, the directive index, and the
-// precomputed reachability sets. It is immutable once built, so the
-// per-package analysis workers read it concurrently without locks.
+// precomputed reachability sets. It is immutable once built.
 type Program struct {
 	Loader *Loader
 	// Pkgs is every module-local package the loader has seen — analysis
@@ -135,12 +134,6 @@ func NewProgram(l *Loader) *Program {
 	return prog
 }
 
-// Directives returns the shadowlint directives attached to an object's
-// declaration (function, struct field, type name, or package var).
-func (prog *Program) Directives(obj types.Object) []string {
-	return prog.dirs[obj]
-}
-
 // HasDirective reports whether obj's declaration carries the directive.
 func (prog *Program) HasDirective(obj types.Object, dir string) bool {
 	for _, d := range prog.dirs[obj] {
@@ -174,8 +167,7 @@ func (prog *Program) Syncs(n *Node) bool { return prog.syncers[n] }
 
 // reach runs BFS from every function annotated with dir, remembering
 // the root each node was discovered from. Node order and edge order are
-// both deterministic, so root attribution is stable across runs and
-// worker counts.
+// both deterministic, so root attribution is stable across runs.
 func (prog *Program) reach(dir string, dynamic bool) map[*Node]*Node {
 	via := make(map[*Node]*Node)
 	var queue []*Node

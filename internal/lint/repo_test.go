@@ -42,7 +42,7 @@ func TestRepoIsLintClean(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	diags, err := Run(l, paths, All(), 0)
+	diags, err := Run(l, paths, All())
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -255,17 +255,6 @@ func (n *Network) AddHost(addr wire.Addr, h Handler) {
 	n.hosts[addr] = h
 }
 
-// RemoveHost deregisters an address.
-func (n *Network) RemoveHost(addr wire.Addr) {
-	delete(n.hosts, addr)
-}
-
-// HasHost reports whether addr terminates at a registered handler.
-func (n *Network) HasHost(addr wire.Addr) bool {
-	_, ok := n.hosts[addr]
-	return ok
-}
-
 // Schedule runs fn after delay of virtual time. A negative delay runs at
 // the current instant (still via the queue, preserving causal order).
 func (n *Network) Schedule(delay time.Duration, fn func()) {

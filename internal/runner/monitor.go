@@ -1,7 +1,7 @@
 // Live campaign observability: the Monitor rides beside the worker pool
 // and turns its milestones into three products — a stream of bus events
 // for shadowmeter -watch, per-worker occupancy accounting for the
-// multi-core diagnostics in BENCH_*.json, and flight-recorder dumps when
+// -occupancy-json multi-core diagnostics, and flight-recorder dumps when
 // a trial panics, runs suspiciously long, or the operator sends SIGQUIT.
 //
 // The monitor is strictly read-beside: runner hooks hand it copies
@@ -136,9 +136,9 @@ type Distribution struct {
 	Count  int64     `json:"count"`
 }
 
-// OccupancyReport is the worker-occupancy product exported into
-// BENCH_*.json as "worker_occupancy": where the campaign's wall time
-// actually went, per worker, plus the per-trial wall-time distribution.
+// OccupancyReport is the worker-occupancy product that shadowmeter
+// -occupancy-json writes: where the campaign's wall time actually went,
+// per worker, plus the per-trial wall-time distribution.
 type OccupancyReport struct {
 	Workers             []WorkerOccupancy `json:"workers"`
 	TrialWallSeconds    Distribution      `json:"trial_wall_seconds"`
@@ -151,8 +151,7 @@ type OccupancyReport struct {
 	// trial) so the occupancy JSON is self-describing about the clamp.
 	RequestedWorkers int `json:"requested_workers"`
 	// PeakHeapBytes is the streaming consumer's HeapAlloc high-water mark
-	// over the campaign — the memory-flat number bench.sh normalizes into
-	// peak_heap_mb_per_trial.
+	// over the campaign — the memory-flat number (see Result.PeakHeapBytes).
 	PeakHeapBytes uint64 `json:"peak_heap_bytes"`
 }
 

@@ -65,13 +65,6 @@ type Config struct {
 	// to one unsharded run.
 	Slice Slice
 
-	// ColdTopology disables the shared topology blueprint, rebuilding the
-	// full topology per trial. Output is byte-identical either way — the
-	// blueprint only shares seed-independent construction — so this exists
-	// for the determinism cross-check (TestBlueprintDeterminism) and as an
-	// escape hatch.
-	ColdTopology bool
-
 	// Monitor, when non-nil, receives live campaign callbacks: bus
 	// events, worker-occupancy accounting, and flight-recorder triggers.
 	// The monitor only ever receives copies and snapshots taken by each
@@ -202,7 +195,7 @@ func Run(cfg Config) *Result {
 	if cfg.Store != nil {
 		hash = CampaignHash(cfg.Core)
 	}
-	if !cfg.ColdTopology && cfg.Core.Topo == nil && n > 1 {
+	if cfg.Core.Topo == nil && n > 1 {
 		// One blueprint per campaign: trials share the read-only AS/router
 		// graph and geo trie, and instantiate only per-world mutable state.
 		// A single trial skips the snapshot — cold build is cheaper once.

@@ -2,10 +2,12 @@ package runner
 
 import (
 	"bytes"
+	"os"
 	"runtime"
 	"testing"
 
 	"shadowmeter/internal/core"
+	"shadowmeter/internal/runstore"
 )
 
 // tinyCore keeps trials fast while exercising the full pipeline.
@@ -67,40 +69,57 @@ func TestRunnerDeterminism(t *testing.T) {
 	}
 }
 
-// TestBlueprintDeterminism is the shared-topology contract: the same
-// campaign config must produce byte-identical batch JSON and merged
-// telemetry whether worlds are instantiated from a shared blueprint or
-// cold-built per trial, at any worker count. The blueprint may only share
-// seed-independent construction; any leak of mutable state between trials
-// shows up here as a diff.
+// TestBlueprintDeterminism is the shared-topology contract: worlds
+// instantiated from one campaign blueprint must be byte-identical to
+// cold-built worlds, at any worker count. A one-trial run never builds a
+// blueprint, so four one-trial slices give the cold reference. The
+// store log carries each trial's headline, metrics, spans and events, so
+// the batch's trials.log must equal the four one-trial logs
+// concatenated. The blueprint may only share seed-independent
+// construction; any leak of mutable state between trials shows up here
+// as a diff.
 func TestBlueprintDeterminism(t *testing.T) {
 	small := tinyCore()
 	small.WebSites = 20
 	small.MaxSweepsPerProtocol = 20
-	run := func(workers int, cold bool) ([]byte, []byte) {
-		res := Run(Config{Trials: 4, Workers: workers, BaseSeed: 29, Core: small, ColdTopology: cold})
-		js, err := res.JSON()
+	const trials, baseSeed = 4, 29
+	man := runstore.Manifest{
+		Version:    runstore.StoreVersion,
+		ConfigHash: CampaignHash(small),
+		BaseSeed:   baseSeed,
+		Trials:     trials,
+		Scale:      "test",
+	}
+	// runLog runs each slice into one fresh store and returns its log.
+	runLog := func(workers int, slices ...Slice) []byte {
+		dir := t.TempDir()
+		st, err := runstore.Create(dir, man, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return js, res.MergedTelemetryJSON()
-	}
-	refJSON, refTele := run(1, true) // cold, serial: the reference
-	for _, tc := range []struct {
-		name    string
-		workers int
-		cold    bool
-	}{
-		{"blueprint/workers=1", 1, false},
-		{"blueprint/workers=4", 4, false},
-		{"cold/workers=4", 4, true},
-	} {
-		js, tele := run(tc.workers, tc.cold)
-		if !bytes.Equal(refJSON, js) {
-			t.Errorf("%s: batch JSON differs from cold workers=1", tc.name)
+		for _, s := range slices {
+			res := Run(Config{Trials: trials, Workers: workers, BaseSeed: baseSeed, Core: small, Store: st, Slice: s})
+			if res.StoreErr != nil {
+				t.Fatal(res.StoreErr)
+			}
 		}
-		if !bytes.Equal(refTele, tele) {
-			t.Errorf("%s: merged telemetry differs from cold workers=1", tc.name)
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+		b, err := os.ReadFile(runstore.LogPath(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+	var cold []Slice
+	for tr := 0; tr < trials; tr++ {
+		cold = append(cold, Slice{From: tr, To: tr + 1})
+	}
+	ref := runLog(1, cold...)
+	for _, workers := range []int{1, 4} {
+		if got := runLog(workers, Slice{}); !bytes.Equal(ref, got) {
+			t.Errorf("blueprint workers=%d: trials.log differs from the cold-built one-trial runs", workers)
 		}
 	}
 }

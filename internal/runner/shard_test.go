@@ -245,9 +245,13 @@ func readAllRecords(t *testing.T, dir string) []runstore.TrialRecord {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	recs, err := st.Records()
-	if err != nil {
-		t.Fatal(err)
+	var recs []runstore.TrialRecord
+	for _, row := range st.Headlines() {
+		rec, ok, err := st.Get(row.Trial)
+		if err != nil || !ok {
+			t.Fatalf("Get(%d) = ok %v, err %v", row.Trial, ok, err)
+		}
+		recs = append(recs, rec)
 	}
 	return recs
 }

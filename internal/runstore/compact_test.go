@@ -108,10 +108,7 @@ func TestFailedAppendRollsBack(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer r.Close()
-	recs, err := r.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
+	recs := storedRecords(t, r)
 	if len(recs) != 2 || recs[0].Trial != 0 || recs[1].Trial != 1 {
 		t.Fatalf("after rollback recovery: %d records", len(recs))
 	}

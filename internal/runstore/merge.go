@@ -59,12 +59,9 @@ func Merge(dst string, srcs []string, set *telemetry.Set) (Manifest, MergeStats,
 	}
 	man := Manifest{Version: StoreVersion, MergedFrom: len(srcs)}
 	for i, src := range srcs {
-		sm, err := readManifest(src)
+		sm, err := ReadManifest(src)
 		if err != nil {
 			return Manifest{}, st, err
-		}
-		if !VersionSupported(sm.Version) {
-			return Manifest{}, st, fmt.Errorf("runstore: shard %s has store version %d; this build speaks versions 1..%d", src, sm.Version, StoreVersion)
 		}
 		if i == 0 {
 			man.ConfigHash, man.BaseSeed, man.Scale = sm.ConfigHash, sm.BaseSeed, sm.Scale

@@ -55,11 +55,10 @@ import (
 	"shadowmeter/internal/telemetry"
 )
 
-// StoreVersion is the on-disk layout version new campaigns are created
-// with. Store v2 added the sidecar index and columnar headline files;
-// the log frame format is unchanged, so v1 campaigns stay readable (see
-// VersionSupported). A version from the future is an error, never a
-// silent reinterpretation.
+// StoreVersion is the on-disk layout version of a campaign directory,
+// and the only one this build reads (ReadManifest refuses any other). A
+// version from the past or the future is an error, never a silent
+// reinterpretation.
 const StoreVersion = 2
 
 // hashSchemaVersion tracks the TrialRecord JSON schema, which is what a
@@ -67,10 +66,6 @@ const StoreVersion = 2
 // v2 changed the layout (sidecar caches) but not the record encoding,
 // so fingerprints, and with them resumability, survive the v1→v2 bump.
 const hashSchemaVersion = 1
-
-// VersionSupported reports whether this build can read a campaign with
-// the given manifest version.
-func VersionSupported(v int) bool { return v >= 1 && v <= StoreVersion }
 
 const (
 	manifestName = "manifest.json"
@@ -92,9 +87,7 @@ const (
 
 // Manifest identifies a campaign. Every field participates in the
 // compatibility check on resume: a campaign can only be continued by a
-// run with the identical configuration fingerprint and seed plan. (The
-// layout Version is carried but normalized in the check, so a v1
-// campaign can be resumed by a v2 build.)
+// run with the identical configuration fingerprint and seed plan.
 type Manifest struct {
 	Version    int    `json:"version"`
 	ConfigHash string `json:"config_hash"`
@@ -154,7 +147,6 @@ type TrialRecord struct {
 	// nanoseconds): the campaign epoch and the simulator clock when the
 	// trial finished. They feed the columnar headline file so
 	// time-windowed analyses can place a trial without decoding it.
-	// Records written by store v1 carry zeros here.
 	VStartNS int64                 `json:"vstart_ns,omitempty"`
 	VEndNS   int64                 `json:"vend_ns,omitempty"`
 	Events   []EventRecord         `json:"events,omitempty"`
@@ -369,12 +361,9 @@ func OpenReadOnly(dir string, set *telemetry.Set) (*Store, error) {
 }
 
 func open(dir string, set *telemetry.Set, readonly bool) (*Store, error) {
-	man, err := readManifest(dir)
+	man, err := ReadManifest(dir)
 	if err != nil {
 		return nil, err
-	}
-	if !VersionSupported(man.Version) {
-		return nil, fmt.Errorf("runstore: campaign %s has store version %d; this build speaks versions 1..%d", dir, man.Version, StoreVersion)
 	}
 	s := newStore(dir, man, set, readonly)
 
@@ -438,15 +427,13 @@ func open(dir string, set *telemetry.Set, readonly bool) (*Store, error) {
 }
 
 // OpenOrCreate opens the campaign in dir if one exists — verifying that
-// its manifest matches man — and creates it otherwise. The layout
-// version and merge provenance are normalized before the comparison: a
-// v1 campaign is resumable by a v2 build (the record format is
-// unchanged) and a merged campaign is continued like a directly-written
-// one. Two mismatches get special treatment: a different shard geometry
-// is refused with its own actionable error, and a *larger* trial count
-// over an otherwise identical manifest is a campaign extension — the
-// stored plan is upgraded in place (see ExtendTrials) and the open
-// succeeds.
+// its manifest matches man — and creates it otherwise. Merge provenance
+// is normalized before the comparison, so a merged campaign is
+// continued like a directly-written one. Two mismatches get special
+// treatment: a different shard geometry is refused with its own
+// actionable error, and a *larger* trial count over an otherwise
+// identical manifest is a campaign extension — the stored plan is
+// upgraded in place (see ExtendTrials) and the open succeeds.
 func OpenOrCreate(dir string, man Manifest, set *telemetry.Set) (*Store, error) {
 	if _, err := os.Stat(ManifestPath(dir)); errors.Is(err, fs.ErrNotExist) {
 		return Create(dir, man, set)
@@ -459,7 +446,6 @@ func OpenOrCreate(dir string, man Manifest, set *telemetry.Set) (*Store, error) 
 	}
 	stored := s.manifest
 	want := man
-	want.Version = stored.Version
 	want.MergedFrom = stored.MergedFrom
 	if stored == want {
 		return s, nil
@@ -666,15 +652,6 @@ func (s *Store) readFrameLocked(ref FrameRef) (TrialRecord, error) {
 	return recs[0], nil
 }
 
-// Has reports whether a trial index is stored — an O(1) map probe, no
-// log read.
-func (s *Store) Has(trial int) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	_, ok := s.frames[trial]
-	return ok
-}
-
 // Len reports the number of stored trials.
 func (s *Store) Len() int {
 	s.mu.Lock()
@@ -699,28 +676,6 @@ func (s *Store) Headlines() []HeadlineRow {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Trial < out[j].Trial })
 	return out
-}
-
-// Records returns every stored record sorted by trial index. This reads
-// the whole log (one indexed seek per record); callers that only need
-// headline stats should use Headlines instead.
-func (s *Store) Records() ([]TrialRecord, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	trials := make([]int, 0, len(s.frames))
-	for t := range s.frames {
-		trials = append(trials, t)
-	}
-	sort.Ints(trials)
-	out := make([]TrialRecord, 0, len(trials))
-	for _, t := range trials {
-		rec, err := s.readFrameLocked(s.frames[t])
-		if err != nil {
-			return nil, fmt.Errorf("runstore: reading trial %d: %w", t, err)
-		}
-		out = append(out, rec)
-	}
-	return out, nil
 }
 
 // Manifest returns the campaign manifest.
@@ -856,13 +811,6 @@ func DecodeRecords(data []byte) ([]TrialRecord, int64) {
 	return recs, valid
 }
 
-// ReadManifest reads a campaign's manifest without opening its store —
-// for tooling that wants the identity and trial plan of a possibly
-// still-running campaign with zero interaction with its log.
-func ReadManifest(dir string) (Manifest, error) {
-	return readManifest(dir)
-}
-
 // LogOffsets returns the byte offset of every valid record in a
 // campaign's trial log, in file order — a diagnostic for tests and
 // tooling (truncating the file at LogOffsets(dir)[k] keeps exactly the
@@ -911,7 +859,12 @@ func publishFile(dir, name string, payload []byte) error {
 	return syncDir(dir)
 }
 
-func readManifest(dir string) (Manifest, error) {
+// ReadManifest reads a campaign's manifest without opening its store —
+// for tooling that wants the identity and trial plan of a possibly
+// still-running campaign with zero interaction with its log. Every open
+// and merge reads the manifest here, so a campaign whose layout version
+// is not StoreVersion is refused before any of its files are touched.
+func ReadManifest(dir string) (Manifest, error) {
 	b, err := os.ReadFile(ManifestPath(dir))
 	if err != nil {
 		if errors.Is(err, fs.ErrNotExist) {
@@ -922,6 +875,10 @@ func readManifest(dir string) (Manifest, error) {
 	var man Manifest
 	if err := json.Unmarshal(b, &man); err != nil {
 		return Manifest{}, fmt.Errorf("runstore: corrupt manifest in %s: %w", dir, err)
+	}
+	if man.Version != StoreVersion {
+		return Manifest{}, fmt.Errorf("runstore: campaign %s has store version %d, but this build reads only version %d: read it with the build that wrote it, or re-run the campaign into a fresh directory with this one",
+			dir, man.Version, StoreVersion)
 	}
 	return man, nil
 }

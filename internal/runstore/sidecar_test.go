@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -111,80 +112,74 @@ func TestCorruptLengthFrame(t *testing.T) {
 	}
 }
 
-// TestV1ReadCompat: a campaign written by the v1 layout — manifest
-// version 1, bare log, no sidecar files — must open, read, and resume
-// under the v2 build.
-func TestV1ReadCompat(t *testing.T) {
+// TestMissingSidecarsRebuild: a campaign whose index.bin and
+// headlines.col are gone (a crash before Close published them, or an
+// operator deleting caches) reopens through one log scan, resumes,
+// appends, and republishes both sidecars on Close.
+func TestMissingSidecarsRebuild(t *testing.T) {
 	dir := t.TempDir() + "/camp"
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+	s, err := Create(dir, testManifest(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
-	man := testManifest()
-	man.Version = 1
-	if err := writeManifest(dir, man); err != nil {
-		t.Fatal(err)
-	}
-	var log []byte
 	for i := 0; i < 2; i++ {
-		log = append(log, frameBytes(t, testRecord(i))...)
+		if err := s.Append(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
 	}
-	if err := os.WriteFile(LogPath(dir), log, 0o644); err != nil {
+	if err := s.Close(); err != nil {
 		t.Fatal(err)
+	}
+	sidecars := []string{filepath.Join(dir, indexName), filepath.Join(dir, headlinesName)}
+	for _, p := range sidecars {
+		if err := os.Remove(p); err != nil {
+			t.Fatal(err)
+		}
 	}
 
 	set := telemetry.NewSet()
-	r, err := Open(dir, set)
+	rw, err := OpenOrCreate(dir, testManifest(), set)
 	if err != nil {
-		t.Fatalf("opening v1 campaign: %v", err)
-	}
-	if r.Manifest().Version != 1 {
-		t.Errorf("manifest version = %d, want 1 preserved", r.Manifest().Version)
-	}
-	recs, err := r.Records()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 2 || recs[1].Seed != 101 {
-		t.Fatalf("v1 records = %d", len(recs))
-	}
-	if err := r.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	// A v2 build resuming the campaign presents a v2 manifest; the
-	// version field is normalized in the compatibility check, so the
-	// campaign continues rather than being refused or recreated.
-	want := testManifest() // Version: StoreVersion
-	rw, err := OpenOrCreate(dir, want, nil)
-	if err != nil {
-		t.Fatalf("OpenOrCreate on v1 campaign with v2 manifest: %v", err)
+		t.Fatalf("resuming a campaign without sidecars: %v", err)
 	}
 	if rw.Len() != 2 {
-		t.Fatalf("resumable v1 campaign holds %d records, want 2", rw.Len())
+		t.Fatalf("rebuilt index holds %d records, want 2", rw.Len())
+	}
+	if n := counterValue(t, set, "runstore_index_rebuilds_total"); n != 1 {
+		t.Errorf("index_rebuilds = %d, want 1", n)
+	}
+	if got, ok, err := rw.Get(1); err != nil || !ok || got.Seed != 101 {
+		t.Errorf("Get(1) over the rebuilt index = %+v, %v, %v", got, ok, err)
 	}
 	if err := rw.Append(testRecord(2)); err != nil {
-		t.Fatalf("appending to v1 campaign: %v", err)
+		t.Fatalf("appending after the rebuild: %v", err)
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	rr, err := Open(dir, nil)
+	for _, p := range sidecars {
+		if _, err := os.Stat(p); err != nil {
+			t.Errorf("Close did not republish %s: %v", filepath.Base(p), err)
+		}
+	}
+
+	set2 := telemetry.NewSet()
+	r, err := Open(dir, set2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rr.Close()
-	if rr.Len() != 3 {
-		t.Errorf("v1 campaign holds %d records after v2 append, want 3", rr.Len())
+	defer r.Close()
+	if n := counterValue(t, set2, "runstore_index_rebuilds_total"); n != 0 {
+		t.Errorf("index_rebuilds on reopen = %d, want 0 (sidecars republished)", n)
 	}
-}
-
-// TestVersionSupported pins the compatibility window.
-func TestVersionSupported(t *testing.T) {
-	if !VersionSupported(1) || !VersionSupported(StoreVersion) {
-		t.Error("supported versions rejected")
+	recs := storedRecords(t, r)
+	if len(recs) != 3 {
+		t.Fatalf("reopened campaign holds %d records, want 3", len(recs))
 	}
-	if VersionSupported(0) || VersionSupported(StoreVersion+1) {
-		t.Error("unsupported versions accepted")
+	for i, rec := range recs {
+		if rec.Trial != i || rec.Seed != 100+int64(i) {
+			t.Errorf("record %d = trial %d seed %d", i, rec.Trial, rec.Seed)
+		}
 	}
 }
 

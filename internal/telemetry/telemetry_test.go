@@ -136,22 +136,52 @@ func TestTracerAggregatesVirtualTime(t *testing.T) {
 	if st.Count != 2 || st.Events != 2 || st.Total != 100*time.Second {
 		t.Fatalf("stats = %+v", st)
 	}
-	if recs := tr.Records(); len(recs) != 2 || recs[0].Events != 2 {
-		t.Fatalf("records = %+v", recs)
+	if recs := tr.Recent(); len(recs) != 2 || recs[0].Events != 2 {
+		t.Fatalf("recent = %+v", recs)
 	}
 }
 
-func TestTracerRecordRetentionBounded(t *testing.T) {
-	tr := NewTracer(nil)
-	tr.MaxRecords = 3
-	for i := 0; i < 10; i++ {
-		tr.Start("s").End()
+// TestTracerRecentRing: before the flight-recorder ring wraps it holds
+// every finished span, oldest first; after DefaultRecentSpans+10 spans
+// it holds exactly the newest DefaultRecentSpans in completion order,
+// while Summary still counts every span.
+func TestTracerRecentRing(t *testing.T) {
+	now := base
+	tr := NewTracer(func() time.Time { return now })
+	if got := tr.Recent(); got != nil {
+		t.Fatalf("Recent before any span = %+v, want nil", got)
 	}
-	if got := len(tr.Records()); got != 3 {
-		t.Fatalf("retained %d records, want 3", got)
+	// Span i ends at base + i+1 seconds, so End identifies it.
+	finish := func(i int) {
+		sp := tr.Start("s")
+		now = base.Add(time.Duration(i+1) * time.Second)
+		sp.End()
 	}
-	if tr.Summary()[0].Count != 10 {
-		t.Fatal("aggregates must keep counting past the record cap")
+	check := func(first, n int) {
+		t.Helper()
+		got := tr.Recent()
+		if len(got) != n {
+			t.Fatalf("Recent holds %d spans, want %d", len(got), n)
+		}
+		for k, rec := range got {
+			if want := base.Add(time.Duration(first+k+1) * time.Second); !rec.End.Equal(want) {
+				t.Fatalf("Recent[%d] ended at %v, want span %d (%v)", k, rec.End, first+k, want)
+			}
+		}
+	}
+	const total = DefaultRecentSpans + 10
+	for i := 0; i < DefaultRecentSpans-1; i++ {
+		finish(i)
+	}
+	check(0, DefaultRecentSpans-1)
+	finish(DefaultRecentSpans - 1)
+	check(0, DefaultRecentSpans)
+	for i := DefaultRecentSpans; i < total; i++ {
+		finish(i)
+	}
+	check(total-DefaultRecentSpans, DefaultRecentSpans)
+	if sum := tr.Summary(); len(sum) != 1 || sum[0].Count != total {
+		t.Fatalf("summary = %+v, want %d spans counted", sum, total)
 	}
 }
 

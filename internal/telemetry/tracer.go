@@ -16,25 +16,17 @@ type Tracer struct {
 	// still count; durations are zero).
 	Clock Clock
 
-	mu   sync.Mutex
-	agg  map[string]*SpanStats
-	recs []SpanRecord
-	// MaxRecords bounds the retained per-span records (aggregates are
-	// always kept). 0 means DefaultMaxRecords.
-	MaxRecords int
+	mu  sync.Mutex
+	agg map[string]*SpanStats
 
 	// recent is a rolling ring of the last DefaultRecentSpans finished
-	// spans — unlike recs, which stops appending once full, the ring
-	// always holds the newest spans. It feeds the flight recorder: when
-	// a trial is dumped (panic, slow-trial watchdog, SIGQUIT) the ring
-	// is the "what was this world doing" record.
+	// spans, always the newest. It feeds the flight recorder: when a
+	// trial is dumped (panic, slow-trial watchdog, SIGQUIT) the ring is
+	// the "what was this world doing" record.
 	recent     []SpanRecord
 	recentNext int
 	recentFull bool
 }
-
-// DefaultMaxRecords bounds retained span records unless overridden.
-const DefaultMaxRecords = 4096
 
 // DefaultRecentSpans sizes the rolling last-N span ring kept for flight
 // dumps.
@@ -107,18 +99,10 @@ func (s *Span) End() time.Duration {
 	st.Count++
 	st.Events += s.events
 	st.Total += d
-	max := t.MaxRecords
-	if max == 0 {
-		max = DefaultMaxRecords
-	}
-	rec := SpanRecord{Name: s.name, Start: s.start, End: end, Events: s.events}
-	if len(t.recs) < max {
-		t.recs = append(t.recs, rec)
-	}
 	if t.recent == nil {
 		t.recent = make([]SpanRecord, DefaultRecentSpans)
 	}
-	t.recent[t.recentNext] = rec
+	t.recent[t.recentNext] = SpanRecord{Name: s.name, Start: s.start, End: end, Events: s.events}
 	t.recentNext++
 	if t.recentNext == len(t.recent) {
 		t.recentNext, t.recentFull = 0, true
@@ -136,13 +120,6 @@ func (t *Tracer) Summary() []SpanStats {
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
-}
-
-// Records returns the retained finished spans in completion order.
-func (t *Tracer) Records() []SpanRecord {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return append([]SpanRecord(nil), t.recs...)
 }
 
 // Recent returns the rolling last-N finished spans in completion order

@@ -4,14 +4,12 @@ import "fmt"
 
 // Packet is a fully decoded packet as seen by simulator devices: the IPv4
 // header plus exactly one transport layer. Decoded transport payloads alias
-// the raw buffer.
+// the buffer the packet was decoded from.
 type Packet struct {
 	IP   IPv4
 	UDP  *UDP
 	TCP  *TCP
 	ICMP *ICMP
-
-	raw []byte
 }
 
 // Parser decodes packets into reusable layer storage, in the style of
@@ -28,7 +26,6 @@ type Parser struct {
 // owned by the Parser and overwritten by the next Decode call.
 func (p *Parser) Decode(data []byte, pkt *Packet) error {
 	pkt.UDP, pkt.TCP, pkt.ICMP = nil, nil, nil
-	pkt.raw = data //shadowlint:ignore sliceretain documented zero-copy parser: pkt aliases data until the next Decode
 	if err := pkt.IP.DecodeFromBytes(data); err != nil {
 		return err
 	}
@@ -63,7 +60,7 @@ func Decode(data []byte) (*Packet, error) {
 		return nil, err
 	}
 	// Detach the layer storage from the throwaway parser.
-	out := &Packet{IP: pkt.IP, raw: data} //shadowlint:ignore sliceretain documented one-shot decode: Packet aliases data by contract
+	out := &Packet{IP: pkt.IP}
 	switch {
 	case pkt.UDP != nil:
 		u := *pkt.UDP
@@ -77,9 +74,6 @@ func Decode(data []byte) (*Packet, error) {
 	}
 	return out, nil
 }
-
-// Raw returns the serialized bytes the packet was decoded from.
-func (pkt *Packet) Raw() []byte { return pkt.raw }
 
 // Flow returns the transport flow of the packet. ICMP packets report port 0
 // on both sides.

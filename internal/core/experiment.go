@@ -143,40 +143,39 @@ func (e *Experiment) runPhaseI() {
 		}
 	}
 
-	// DNS decoys: rounds spread across the campaign.
-	for round := 0; round < cfg.DNSRounds; round++ {
-		roundStart := start.Add(time.Duration(round) * cfg.CampaignDuration / time.Duration(cfg.DNSRounds))
-		for vi, vp := range vps {
-			vp := vp
-			for di, dst := range w.DNSDests {
-				dst := dst
-				base := roundStart.Add(time.Duration(vi)*11*time.Second + time.Duration(di)*700*time.Millisecond)
-				at := pacer.NextSendTime(base, dst.Addr)
-				w.Net.Schedule(at.Sub(start), func() {
-					e.sendDNSDecoy(vp, dst)
-				})
-			}
+	// The whole decoy schedule is one netsim series: DNS decoys in rounds
+	// spread across the campaign, then HTTP and TLS decoys toward the web
+	// fleet. Event i is the i-th send of the nested loops below; the
+	// series calls delay for i = 0, 1, ... in order, so the pacer reserves
+	// its send times in loop order.
+	dests, sites := w.DNSDests, w.Web.Sites
+	dnsPerRound := len(vps) * len(dests)
+	webPerRound := len(vps) * len(sites) * 2
+	dnsCount := cfg.DNSRounds * dnsPerRound
+	webProtos := [2]decoy.Protocol{decoy.HTTP, decoy.TLS}
+	delay := func(i int) time.Duration {
+		if i < dnsCount {
+			round, vi, di := i/dnsPerRound, i/len(dests)%len(vps), i%len(dests)
+			roundStart := start.Add(time.Duration(round) * cfg.CampaignDuration / time.Duration(cfg.DNSRounds))
+			base := roundStart.Add(time.Duration(vi)*11*time.Second + time.Duration(di)*700*time.Millisecond)
+			return pacer.NextSendTime(base, dests[di].Addr).Sub(start)
 		}
-	}
-
-	// HTTP and TLS decoys toward the web fleet.
-	for round := 0; round < cfg.WebRounds; round++ {
+		i -= dnsCount
+		round, vi, si := i/webPerRound, i/(2*len(sites))%len(vps), i/2%len(sites)
 		roundStart := start.Add(cfg.CampaignDuration/4 + time.Duration(round)*cfg.CampaignDuration/time.Duration(2*cfg.WebRounds))
-		for vi, vp := range vps {
-			vp := vp
-			for si, site := range w.Web.Sites {
-				site := site
-				base := roundStart.Add(time.Duration(vi)*7*time.Second + time.Duration(si)*300*time.Millisecond)
-				for _, proto := range []decoy.Protocol{decoy.HTTP, decoy.TLS} {
-					proto := proto
-					at := pacer.NextSendTime(base, site.Addr)
-					w.Net.Schedule(at.Sub(start), func() {
-						e.sendWebDecoy(vp, site.Addr, site.Domain, proto)
-					})
-				}
-			}
-		}
+		base := roundStart.Add(time.Duration(vi)*7*time.Second + time.Duration(si)*300*time.Millisecond)
+		return pacer.NextSendTime(base, sites[si].Addr).Sub(start)
 	}
+	send := func(i int) {
+		if i < dnsCount {
+			e.sendDNSDecoy(vps[i/len(dests)%len(vps)], dests[i%len(dests)])
+			return
+		}
+		i -= dnsCount
+		site := sites[i/2%len(sites)]
+		e.sendWebDecoy(vps[i/(2*len(sites))%len(vps)], site.Addr, site.Domain, webProtos[i%2])
+	}
+	w.Net.ScheduleSeries(dnsCount+cfg.WebRounds*webPerRound, delay, send)
 
 	// Run the campaign and drain all retention-delayed probes.
 	w.Net.Run(start.Add(cfg.CampaignDuration))
@@ -232,11 +231,14 @@ func (e *Experiment) recordSentRecursive(d *decoy.Decoy, dstName string, recursi
 	})
 }
 
-// classifyNew feeds unprocessed honeypot captures to the correlator.
+// classifyNew feeds unprocessed honeypot captures to the correlator,
+// reading them in place from the log's chunks.
 func (e *Experiment) classifyNew() []correlate.Unsolicited {
-	fresh := e.World.Honeypots.Log.SnapshotFrom(e.processedCaptures)
-	e.processedCaptures += len(fresh)
-	return e.Correlator.Classify(fresh)
+	fresh := e.World.Honeypots.Log.ChunksFrom(e.processedCaptures)
+	for _, ch := range fresh {
+		e.processedCaptures += len(ch)
+	}
+	return e.Correlator.ClassifyChunks(fresh)
 }
 
 // RunPhaseII traceroutes every problematic path found in Phase I (capped

@@ -79,11 +79,10 @@ type Unsolicited struct {
 type Correlator struct {
 	codec *identifier.Codec
 
-	mu      sync.Mutex
-	sent    map[string]*Sent // by label
-	dnsSeen map[string]int   // label -> count of DNS captures seen so far
-	stats   Stats
-	m       correlatorMetrics
+	mu    sync.Mutex
+	log   sendLog
+	stats Stats
+	m     correlatorMetrics
 }
 
 type correlatorMetrics struct {
@@ -135,10 +134,9 @@ type Stats struct {
 // Metrics land in a private telemetry set; call Bind to share one.
 func New(codec *identifier.Codec) *Correlator {
 	return &Correlator{
-		codec:   codec,
-		sent:    make(map[string]*Sent),
-		dnsSeen: make(map[string]int),
-		m:       newCorrelatorMetrics(telemetry.NewRegistry()),
+		codec: codec,
+		log:   newSendLog(),
+		m:     newCorrelatorMetrics(telemetry.NewRegistry()),
 	}
 }
 
@@ -154,25 +152,34 @@ func (c *Correlator) Bind(set *telemetry.Set) {
 // AddSent records one decoy emission. The identifier nonce is a uint16,
 // so at campaign scale two live decoys can share a label; the first
 // record wins — replacing it would misattribute every later capture of
-// the older decoy to the newer emission.
+// the older decoy to the newer emission. The log keeps a copy of s's
+// fields, not s itself.
 func (c *Correlator) AddSent(s *Sent) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.sent[s.Label]; dup {
+	if _, dup := c.log.find(s.Label); dup {
 		c.stats.LabelCollisions++
 		c.m.labelCollision.Inc()
 		return
 	}
-	c.sent[s.Label] = s
+	c.log.add(s)
 	c.stats.SentDecoys++
 }
 
-// SentByLabel looks up the send record for a label.
+// SentByLabel looks up the send record for a label. For a decoy that has
+// leaked it returns the record its Unsolicited events share; otherwise it
+// builds a fresh one.
 func (c *Correlator) SentByLabel(label string) (*Sent, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	s, ok := c.sent[label]
-	return s, ok
+	i, ok := c.log.find(label)
+	if !ok {
+		return nil, false
+	}
+	if s, ok := c.log.leaked[i]; ok {
+		return s, true
+	}
+	return c.log.build(i), true
 }
 
 // Stats snapshots the counters.
@@ -187,74 +194,108 @@ func (c *Correlator) Stats() Stats {
 // incrementally with batches; rule iii state (first-DNS-appearance) is
 // retained across calls.
 func (c *Correlator) Classify(captures []honeypot.Capture) []Unsolicited {
-	// Honeypot logs are appended in virtual-time order, so the capture
-	// batch is almost always already sorted — skip the defensive copy then.
-	ordered := captures
-	if !sort.SliceIsSorted(captures, func(i, j int) bool { return captures[i].Time.Before(captures[j].Time) }) {
-		ordered = append([]honeypot.Capture(nil), captures...)
+	return c.ClassifyChunks([][]honeypot.Capture{captures})
+}
+
+// ClassifyChunks is Classify over the concatenation of chunks, read in
+// place: honeypot.Log.ChunksFrom's views classify without copying the
+// log. It returns exactly what Classify of the concatenated captures
+// would.
+func (c *Correlator) ClassifyChunks(chunks [][]honeypot.Capture) []Unsolicited {
+	// Honeypot logs are appended in virtual-time order, so the captures
+	// are almost always already sorted — skip the defensive copy then.
+	total := 0
+	sorted := true
+	var prev time.Time
+	for _, ch := range chunks {
+		for i := range ch {
+			if total+i > 0 && ch[i].Time.Before(prev) {
+				sorted = false
+			}
+			prev = ch[i].Time
+		}
+		total += len(ch)
+	}
+	if !sorted {
+		ordered := make([]honeypot.Capture, 0, total)
+		for _, ch := range chunks {
+			ordered = append(ordered, ch...)
+		}
 		sort.SliceStable(ordered, func(i, j int) bool { return ordered[i].Time.Before(ordered[j].Time) })
+		chunks = [][]honeypot.Capture{ordered}
 	}
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Unsolicited, 0, len(ordered))
-	for _, cap := range ordered {
-		c.stats.Captures++
-		c.m.captures.Inc()
-		if cap.Label == "" {
-			c.stats.UnknownLabel++
-			c.m.unknownLabel.Inc()
-			continue
+	out := make([]Unsolicited, 0, total)
+	for _, ch := range chunks {
+		for i := range ch {
+			out = c.classify(&ch[i], out)
 		}
-		if _, err := c.codec.Decode(cap.Label); err != nil {
-			c.stats.ChecksumRejected++
-			c.m.crcRejected.Inc()
-			continue
-		}
-		sent, ok := c.sent[cap.Label]
-		if !ok {
-			c.stats.UnknownLabel++
-			c.m.unknownLabel.Inc()
-			continue
-		}
-
-		rule := 0
-		switch {
-		case cap.Protocol == decoy.HTTP || cap.Protocol == decoy.TLS:
-			rule = 2
-		case cap.Protocol != sent.Protocol:
-			rule = 1
-		case cap.Protocol == decoy.DNS:
-			c.dnsSeen[cap.Label]++
-			if !sent.ExpectRecursion || c.dnsSeen[cap.Label] > 1 {
-				rule = 3
-			}
-		}
-		if rule == 0 {
-			c.stats.Solicited++
-			c.m.solicited.Inc()
-			continue
-		}
-		c.stats.Unsolicited++
-		switch rule {
-		case 1:
-			c.m.rule1.Inc()
-		case 2:
-			c.m.rule2.Inc()
-		case 3:
-			c.m.rule3.Inc()
-		}
-		delay := cap.Time.Sub(sent.Time)
-		c.m.delay.Observe(delay.Seconds())
-		out = append(out, Unsolicited{
-			Capture:     cap,
-			Sent:        sent,
-			Delay:       delay,
-			Combination: combination(sent.Protocol, cap.Protocol),
-			Rule:        rule,
-		})
 	}
 	return out
+}
+
+// classify applies the three rules to one capture, appending it to out
+// when it is unsolicited. c.mu must be held.
+func (c *Correlator) classify(cap *honeypot.Capture, out []Unsolicited) []Unsolicited {
+	c.stats.Captures++
+	c.m.captures.Inc()
+	if cap.Label == "" {
+		c.stats.UnknownLabel++
+		c.m.unknownLabel.Inc()
+		return out
+	}
+	if _, err := c.codec.Decode(cap.Label); err != nil {
+		c.stats.ChecksumRejected++
+		c.m.crcRejected.Inc()
+		return out
+	}
+	i, ok := c.log.find(cap.Label)
+	if !ok {
+		c.stats.UnknownLabel++
+		c.m.unknownLabel.Inc()
+		return out
+	}
+	r := c.log.rec(i)
+	sentProto := decoy.Protocol(r.proto)
+
+	rule := 0
+	switch {
+	case cap.Protocol == decoy.HTTP || cap.Protocol == decoy.TLS:
+		rule = 2
+	case cap.Protocol != sentProto:
+		rule = 1
+	case cap.Protocol == decoy.DNS:
+		r.dnsSeen++
+		if !r.expectRecursion || r.dnsSeen > 1 {
+			rule = 3
+		}
+	}
+	if rule == 0 {
+		c.stats.Solicited++
+		c.m.solicited.Inc()
+		return out
+	}
+	c.stats.Unsolicited++
+	switch rule {
+	case 1:
+		c.m.rule1.Inc()
+	case 2:
+		c.m.rule2.Inc()
+	case 3:
+		c.m.rule3.Inc()
+	}
+	sent := c.log.leak(i)
+	delay := cap.Time.Sub(sent.Time)
+	c.m.delay.Observe(delay.Seconds())
+	return append(out, Unsolicited{
+		Capture:     *cap,
+		Sent:        sent,
+		Delay:       delay,
+		Combination: combination(sentProto, cap.Protocol),
+		Rule:        rule,
+	})
 }
 
 // combinations precomputes every Decoy-Request label so classification

@@ -1,6 +1,7 @@
 package correlate
 
 import (
+	"reflect"
 	"testing"
 	"time"
 
@@ -281,5 +282,43 @@ func BenchmarkClassify(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c.Classify(caps)
+	}
+}
+
+// TestSentByLabelRebuildsRecord checks that the send log gives back every
+// field AddSent was handed, for domains that extend the label (the decoy
+// shape, stored as label bytes plus a shared suffix) and domains that do
+// not (stored in full), and that all events of a leaked decoy share one
+// record.
+func TestSentByLabelRebuildsRecord(t *testing.T) {
+	c := New(codec)
+	prefixed := mkSent(t, decoy.DNS, 7)
+	prefixed.Time = epoch.Add(90*time.Minute + 123456789*time.Nanosecond)
+	other := mkSent(t, decoy.HTTP, 8)
+	other.Domain = "unrelated.example"
+	other.Phase, other.TTL, other.ExpectRecursion = PhaseII, 5, false
+	bare := &Sent{Label: "not-an-identifier", Protocol: decoy.TLS, Time: epoch}
+	for _, s := range []*Sent{prefixed, other, bare} {
+		c.AddSent(s)
+	}
+	for _, want := range []*Sent{prefixed, other, bare} {
+		got, ok := c.SentByLabel(want.Label)
+		if !ok || !reflect.DeepEqual(got, want) {
+			t.Errorf("SentByLabel(%q) = %+v, %v; want %+v", want.Label, got, ok, want)
+		}
+	}
+	if _, ok := c.SentByLabel(prefixed.Label[:10]); ok {
+		t.Error("SentByLabel matched a label prefix")
+	}
+
+	events := c.Classify([]honeypot.Capture{
+		capture(other, decoy.HTTP, epoch.Add(time.Hour)),
+		capture(other, decoy.TLS, epoch.Add(2*time.Hour)),
+	})
+	if len(events) != 2 || events[0].Sent != events[1].Sent {
+		t.Fatalf("events of one decoy do not share its record: %+v", events)
+	}
+	if s, _ := c.SentByLabel(other.Label); s != events[0].Sent {
+		t.Error("SentByLabel of a leaked decoy is not the record its events share")
 	}
 }

@@ -53,7 +53,7 @@ var Protocols = []Protocol{DNS, HTTP, TLS}
 type Decoy struct {
 	Protocol Protocol
 	ID       identifier.ID
-	Label    string // encoded identifier (left-most domain label)
+	Label    string // encoded identifier (left-most domain label), a prefix of Domain
 	Domain   string // full experiment domain
 	VP       wire.Addr
 	Dst      wire.Endpoint
@@ -99,13 +99,17 @@ func (g *Generator) Generate(proto Protocol, now time.Time, vp wire.Addr, dst wi
 	g.mu.Unlock()
 
 	id := identifier.ID{Time: now, VP: vp, Dst: dst.Addr, TTL: ttl, Nonce: nonce}
-	label, err := g.codec.Encode(id)
+	// One allocation for the domain; the label is its prefix.
+	var scratch [128]byte
+	buf, err := g.codec.AppendEncode(scratch[:0], id)
 	if err != nil {
 		return nil, fmt.Errorf("decoy: %w", err)
 	}
-	domain := label + ".www." + g.zone
+	n := len(buf)
+	buf = append(append(buf, ".www."...), g.zone...)
+	domain := string(buf)
 	d := &Decoy{
-		Protocol: proto, ID: id, Label: label, Domain: domain,
+		Protocol: proto, ID: id, Label: domain[:n], Domain: domain,
 		VP: vp, Dst: dst,
 	}
 	switch proto {

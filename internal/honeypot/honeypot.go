@@ -72,18 +72,43 @@ func (l *Log) Snapshot() []Capture { return l.SnapshotFrom(0) }
 // that has already processed the first i needs. An i at or past the end
 // yields an empty slice.
 func (l *Log) SnapshotFrom(i int) []Capture {
+	views := l.ChunksFrom(i)
+	if len(views) == 0 {
+		return nil
+	}
+	n := 0
+	for _, v := range views {
+		n += len(v)
+	}
+	out := make([]Capture, 0, n)
+	for _, v := range views {
+		out = append(out, v...)
+	}
+	return out
+}
+
+// ChunksFrom returns the captures from index i on without copying them:
+// one view per chunk, in log order. Each view's capacity is capped at its
+// length, so appending to a view copies it instead of writing into the
+// log. Logged captures are never modified, so the views stay valid (and
+// unchanged) while later captures are appended. An i at or past the end
+// yields no views.
+func (l *Log) ChunksFrom(i int) [][]Capture {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	if i >= l.n {
 		return nil
 	}
-	out := make([]Capture, 0, l.n-i)
 	first := i / logChunk
-	out = append(out, l.chunks[first][i%logChunk:]...)
-	for _, ch := range l.chunks[first+1:] {
-		out = append(out, ch...)
+	views := make([][]Capture, 0, len(l.chunks)-first)
+	for k, ch := range l.chunks[first:] {
+		lo := 0
+		if k == 0 {
+			lo = i % logChunk
+		}
+		views = append(views, ch[lo:len(ch):len(ch)])
 	}
-	return out
+	return views
 }
 
 // Len reports the number of captures.

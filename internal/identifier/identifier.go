@@ -58,6 +58,9 @@ const (
 	totalLen   = payloadLen + 2 // + CRC16
 	// EncodedLen is the length of the base32 body of an identifier label.
 	EncodedLen = (totalLen*8 + 4) / 5 // 28 chars
+	// labelLen is the length of an encoded label: the base32 body, a '-'
+	// and four decimal nonce digits.
+	labelLen = EncodedLen + 5
 )
 
 // Errors returned by Decode.
@@ -70,12 +73,23 @@ var (
 
 // Encode renders the identifier as a DNS-safe label.
 func (c *Codec) Encode(id ID) (string, error) {
+	var out [labelLen]byte
+	label, err := c.AppendEncode(out[:0], id)
+	if err != nil {
+		return "", err
+	}
+	return string(label), nil
+}
+
+// AppendEncode appends the label Encode renders to dst, so a caller can
+// build a whole domain around it with one allocation.
+func (c *Codec) AppendEncode(dst []byte, id ID) ([]byte, error) {
 	secs := id.Time.Unix() - c.Epoch.Unix()
 	if secs < 0 {
-		return "", ErrBeforeEpoch
+		return dst, ErrBeforeEpoch
 	}
 	if secs > 0xFFFFFFFF {
-		return "", fmt.Errorf("identifier: time overflows epoch window")
+		return dst, fmt.Errorf("identifier: time overflows epoch window")
 	}
 	var buf [totalLen]byte
 	buf[0] = byte(secs >> 24)
@@ -90,16 +104,14 @@ func (c *Codec) Encode(id ID) (string, error) {
 	crc := crc16(buf[:payloadLen])
 	buf[15] = byte(crc >> 8)
 	buf[16] = byte(crc)
-	// Label = base32 body, '-', 4 decimal nonce digits: one allocation.
-	var out [EncodedLen + 5]byte
-	n := appendBase32(out[:0], buf[:])
+	// Label = base32 body, '-', 4 decimal nonce digits.
+	dst = appendBase32(dst, buf[:])
 	suffix := id.Nonce % 10000
-	out[len(n)] = '-'
-	out[len(n)+1] = byte('0' + suffix/1000%10)
-	out[len(n)+2] = byte('0' + suffix/100%10)
-	out[len(n)+3] = byte('0' + suffix/10%10)
-	out[len(n)+4] = byte('0' + suffix%10)
-	return string(out[:len(n)+5]), nil
+	return append(dst, '-',
+		byte('0'+suffix/1000%10),
+		byte('0'+suffix/100%10),
+		byte('0'+suffix/10%10),
+		byte('0'+suffix%10)), nil
 }
 
 // Decode parses a label produced by Encode. The decimal suffix, if present,

@@ -254,3 +254,65 @@ func TestAblationNoCollisions(t *testing.T) {
 		seen[label] = key
 	}
 }
+
+// FuzzIdentifierRoundTrip checks the codec both ways. Any identifier
+// inside the epoch window must survive Encode → Decode unchanged, and
+// AppendEncode must render the same label Encode does. Decode must never
+// panic on an arbitrary string, and any ID it accepts must itself survive
+// a round trip. The send log and the honeypot pre-filter key on these
+// labels, and the realnet honeypot decodes whatever scanners send.
+//
+//	go test -run '^$' -fuzz FuzzIdentifierRoundTrip -fuzztime 10s ./internal/identifier
+func FuzzIdentifierRoundTrip(f *testing.F) {
+	c := NewCodec(epoch)
+	good, err := c.Encode(ID{Time: epoch.Add(42 * time.Hour), VP: wire.AddrFrom(100, 64, 3, 7), Dst: wire.AddrFrom(77, 88, 8, 8), TTL: 17, Nonce: 9982})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(uint32(151200), uint32(0x64400307), uint32(0x4D580808), uint8(17), uint16(9982), good)
+	f.Add(uint32(0), uint32(0), uint32(0), uint8(0), uint16(0), good[:EncodedLen])
+	f.Add(uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), uint32(0xFFFFFFFF), uint8(255), uint16(65535), "")
+	f.Add(uint32(1), uint32(2), uint32(3), uint8(4), uint16(5), strings.ToUpper(good))
+	f.Add(uint32(1), uint32(2), uint32(3), uint8(4), uint16(5), good+"-"+good)
+	f.Add(uint32(1), uint32(2), uint32(3), uint8(4), uint16(5), strings.Repeat("x9q4zk7m2v", 7))
+
+	f.Fuzz(func(t *testing.T, secs, vp, dst uint32, ttl uint8, nonce uint16, label string) {
+		id := ID{
+			Time: epoch.Add(time.Duration(secs) * time.Second),
+			VP:   wire.AddrFrom(byte(vp>>24), byte(vp>>16), byte(vp>>8), byte(vp)),
+			Dst:  wire.AddrFrom(byte(dst>>24), byte(dst>>16), byte(dst>>8), byte(dst)),
+			TTL:  ttl, Nonce: nonce,
+		}
+		enc, err := c.Encode(id)
+		if err != nil {
+			t.Fatalf("Encode(%+v): %v", id, err)
+		}
+		if app, err := c.AppendEncode([]byte("prefix."), id); err != nil || string(app) != "prefix."+enc {
+			t.Fatalf("AppendEncode = %q, %v; want %q", app, err, "prefix."+enc)
+		}
+		if len(enc) != labelLen || !IsIdentifierLabel(enc) {
+			t.Fatalf("Encode(%+v) = %q: not identifier-shaped", id, enc)
+		}
+		got, err := c.Decode(enc)
+		if err != nil || !sameID(got, id) {
+			t.Fatalf("Decode(Encode(%+v)) = %+v, %v", id, got, err)
+		}
+
+		dec, err := c.Decode(label)
+		if err != nil {
+			return
+		}
+		again, err := c.Encode(dec)
+		if err != nil {
+			t.Fatalf("Decode(%q) = %+v, which Encode refuses: %v", label, dec, err)
+		}
+		if back, err := c.Decode(again); err != nil || !sameID(back, dec) {
+			t.Fatalf("accepted label %q: %+v does not round-trip (%+v, %v)", label, dec, back, err)
+		}
+	})
+}
+
+// sameID compares identifiers field by field, times by instant.
+func sameID(a, b ID) bool {
+	return a.Time.Equal(b.Time) && a.VP == b.VP && a.Dst == b.Dst && a.TTL == b.TTL && a.Nonce == b.Nonce
+}

@@ -16,9 +16,12 @@
 // time never decreases and sequence numbers only grow, those entries
 // arrive already sorted and wait in a FIFO ring, the hop lane. All other
 // events go to a 4-ary min-heap. The loop dispatches whichever lane head
-// comes first, and merging two sorted sources always yields the least key,
-// so the order is the same as one queue's. All execution is single
-// goroutine and fully deterministic for a given seed and call order.
+// comes first, and merging sorted sources always yields the least key,
+// so the order is the same as one queue's. A third sorted source, the
+// series, holds a block of numbered events scheduled up front (a
+// campaign's whole decoy schedule) as 16-byte keys instead of closures.
+// All execution is single goroutine and fully deterministic for a given
+// seed and call order.
 //
 // Packet ownership: a packet buffer is written only while it is built and,
 // in flight, by the per-hop TTL rewrite. Once delivered it is immutable and
@@ -28,9 +31,11 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"time"
 
 	"shadowmeter/internal/telemetry"
@@ -134,6 +139,7 @@ type Network struct {
 	nowNS  int64 // now.UnixNano(), kept in step with now
 	events eventHeap
 	lane   hopLane // entries scheduled exactly hopLatency ahead
+	series series  // numbered events scheduled as one block
 	seq    int64
 
 	hosts      map[wire.Addr]Handler
@@ -261,6 +267,42 @@ func (n *Network) Schedule(delay time.Duration, fn func()) {
 	e := n.newEvent()
 	e.fn = fn
 	n.scheduleEvent(delay, e)
+}
+
+// ScheduleSeries queues count numbered events in one compact block:
+// event i runs run(i) after delay(i) of virtual time. It is equivalent to
+// calling Schedule(delay(i), func() { run(i) }) for i = 0, 1, ...,
+// count-1 in that order — delay is called in that order, each event takes
+// the next sequence number, and the events count in Pending and the
+// queue metrics exactly as those calls' would — but each event costs 16
+// bytes of queue instead of a closure and a queue entry. Only one series
+// may be pending at a time.
+func (n *Network) ScheduleSeries(count int, delay func(i int) time.Duration, run func(i int)) {
+	if count <= 0 {
+		return
+	}
+	if n.series.pending() > 0 {
+		panic("netsim: ScheduleSeries while an earlier series is pending")
+	}
+	keys := make([]seriesKey, count)
+	base := n.seq + 1
+	for i := range keys {
+		d := delay(i)
+		if d < 0 {
+			d = 0
+		}
+		n.seq++
+		keys[i] = seriesKey{atNS: n.nowNS + int64(d), seq: n.seq}
+	}
+	slices.SortFunc(keys, func(a, b seriesKey) int {
+		if c := cmp.Compare(a.atNS, b.atNS); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.seq, b.seq)
+	})
+	n.series = series{keys: keys, base: base, run: run}
+	n.m.eventsScheduled.Add(int64(count))
+	n.m.queuePeak.SetMax(int64(n.Pending()))
 }
 
 // scheduleEvent queues a prepared event: in the hop lane when it lands
@@ -599,19 +641,27 @@ func (n *Network) RunUntilIdle() int64 {
 // drain dispatches events in (time, sequence) order until the queue is
 // empty, the next event lies after limitNS, or the maxEvents valve trips
 // (truncated). It returns the number of events processed. Each step takes
-// the earlier of the two lane heads; both lanes are sorted, so that head
-// is the least key in the whole queue.
+// the earliest head of the series and the two lanes; all three are
+// sorted, so that head is the least key in the whole queue.
 func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 	for {
 		var next heapEntry
-		if n.lane.n > 0 && (len(n.events) == 0 || n.lane.ring[n.lane.head].before(&n.events[0])) {
+		switch {
+		case n.series.pending() > 0 && n.seriesLeads():
+			k := n.series.keys[n.series.head]
+			if k.atNS > limitNS {
+				return processed, false
+			}
+			n.series.head++
+			next = heapEntry{atNS: k.atNS, seq: k.seq}
+		case n.lane.n > 0 && (len(n.events) == 0 || n.lane.ring[n.lane.head].before(&n.events[0])):
 			if n.lane.ring[n.lane.head].atNS > limitNS {
-				break
+				return processed, false
 			}
 			next = n.lane.pop()
-		} else {
+		default:
 			if len(n.events) == 0 || n.events[0].atNS > limitNS {
-				break
+				return processed, false
 			}
 			next = n.events.pop()
 		}
@@ -620,7 +670,11 @@ func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 			n.nowNS = next.atNS
 		}
 		n.m.queueDepth.Observe(float64(n.Pending() + 1))
-		n.dispatch(next.e)
+		if next.e != nil {
+			n.dispatch(next.e)
+		} else {
+			n.dispatchSeries(next.seq)
+		}
 		processed++
 		n.stats.Events++
 		n.m.eventsDispatched.Inc()
@@ -629,11 +683,32 @@ func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 			return processed, true
 		}
 	}
-	return processed, false
 }
 
-// Pending reports the number of queued events in both lanes.
-func (n *Network) Pending() int { return len(n.events) + n.lane.n }
+// seriesLeads reports whether the series head dispatches ahead of both
+// lane heads; the series must be non-empty.
+func (n *Network) seriesLeads() bool {
+	k := n.series.keys[n.series.head]
+	x := heapEntry{atNS: k.atNS, seq: k.seq}
+	return (n.lane.n == 0 || x.before(&n.lane.ring[n.lane.head])) &&
+		(len(n.events) == 0 || x.before(&n.events[0]))
+}
+
+// dispatchSeries runs the series event with sequence number seq. Once the
+// series is drained it is released before the event runs, so the event
+// may schedule the next series.
+//
+//shadowlint:eventloop
+func (n *Network) dispatchSeries(seq int64) {
+	run, i := n.series.run, int(seq-n.series.base)
+	if n.series.pending() == 0 {
+		n.series = series{}
+	}
+	run(i)
+}
+
+// Pending reports the number of queued events in all three sources.
+func (n *Network) Pending() int { return len(n.events) + n.lane.n + n.series.pending() }
 
 // event is one queued occurrence: a generic callback (fn), a packet-flight
 // step (flight), or a typed UDP request timeout (udpW). Exactly one of the
@@ -664,6 +739,25 @@ type heapEntry struct {
 func (a *heapEntry) before(b *heapEntry) bool {
 	return a.atNS < b.atNS || (a.atNS == b.atNS && a.seq < b.seq)
 }
+
+// series is a block of numbered events (see ScheduleSeries): their keys,
+// sorted by (atNS, seq), and one function that runs event i. Event i has
+// sequence number base+i.
+type series struct {
+	keys []seriesKey
+	head int // index of the next key to dispatch
+	base int64
+	run  func(i int)
+}
+
+// seriesKey is one series event's dispatch key.
+type seriesKey struct {
+	atNS int64
+	seq  int64
+}
+
+// pending reports how many series events are still queued.
+func (s *series) pending() int { return len(s.keys) - s.head }
 
 // eventHeap is a 4-ary min-heap of entries ordered by (atNS, seq). Four
 // children per node halve the tree depth of a binary heap, and the

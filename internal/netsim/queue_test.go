@@ -1,10 +1,14 @@
 package netsim
 
 import (
+	"bytes"
 	"math/rand"
+	"reflect"
 	"sort"
 	"testing"
 	"time"
+
+	"shadowmeter/internal/telemetry"
 )
 
 // queueProbe drives a Network through random Schedule calls and keeps the
@@ -295,4 +299,73 @@ func BenchmarkHopLane(b *testing.B) {
 		b.Fatalf("dispatched %d events, want %d", got, b.N)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/event")
+}
+
+// TestScheduleSeriesMatchesSchedule runs one schedule twice: once as
+// Schedule calls, once with the same initial events as a ScheduleSeries
+// block. Handlers spawn follow-up work (some one hop latency ahead, some
+// not, some at the current instant), so series events interleave with
+// both lanes and tie with them on time. The dispatch order, the clock at
+// each dispatch, Pending, and every exported metric must be identical.
+func TestScheduleSeriesMatchesSchedule(t *testing.T) {
+	type trace struct {
+		log     []int
+		pending []int
+		export  []byte
+	}
+	run := func(useSeries bool) trace {
+		tele := telemetry.NewSet()
+		n := New(Config{Start: time.Unix(1_700_000_000, 0), Telemetry: tele})
+		rng := rand.New(rand.NewSource(5))
+		var tr trace
+		nextID := 1000
+		var fire func(id int)
+		fire = func(id int) {
+			tr.log = append(tr.log, id)
+			tr.pending = append(tr.pending, n.Pending(), int(n.Now().UnixNano()%1_000_000_007))
+			if nextID < 4000 {
+				for k := rng.Intn(3); k > 0; k-- {
+					d := []time.Duration{0, n.hopLatency, n.hopLatency, time.Millisecond, 3 * time.Second}[rng.Intn(5)]
+					id := nextID
+					nextID++
+					n.Schedule(d, func() { fire(id) })
+				}
+			}
+		}
+		// A warm-up event first, so the series is scheduled from a clock
+		// past the start, as Phase I is after screening.
+		n.Schedule(1500*time.Millisecond, func() {})
+		n.RunUntilIdle()
+		delays := make([]time.Duration, 1000)
+		for i := range delays {
+			delays[i] = []time.Duration{-time.Second, 0, n.hopLatency, time.Duration(rng.Intn(40)) * 100 * time.Millisecond}[rng.Intn(4)]
+		}
+		if useSeries {
+			n.ScheduleSeries(len(delays), func(i int) time.Duration { return delays[i] }, fire)
+		} else {
+			for i, d := range delays {
+				n.Schedule(d, func() { fire(i) })
+			}
+		}
+		n.Run(n.Now().Add(2 * time.Second))
+		n.RunUntilIdle()
+		if n.Pending() != 0 {
+			t.Fatalf("series=%v: %d events pending after RunUntilIdle", useSeries, n.Pending())
+		}
+		tr.export = tele.ExportJSON()
+		return tr
+	}
+	closures, series := run(false), run(true)
+	if len(closures.log) < 3000 {
+		t.Fatalf("only %d events dispatched", len(closures.log))
+	}
+	if !reflect.DeepEqual(closures.log, series.log) {
+		t.Fatal("dispatch order differs between Schedule and ScheduleSeries")
+	}
+	if !reflect.DeepEqual(closures.pending, series.pending) {
+		t.Fatal("Pending or the clock at dispatch differs between Schedule and ScheduleSeries")
+	}
+	if !bytes.Equal(closures.export, series.export) {
+		t.Errorf("telemetry differs:\n--- Schedule ---\n%s\n--- ScheduleSeries ---\n%s", closures.export, series.export)
+	}
 }

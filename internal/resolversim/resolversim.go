@@ -116,6 +116,30 @@ type Instance struct {
 	RetryDelay time.Duration
 
 	cache map[cacheKey]cacheEntry
+	// swept is the cache size the last sweep left behind (see store).
+	swept int
+}
+
+// minSweep is the cache size below which store never sweeps: small caches
+// cost less to keep than to scan.
+const minSweep = 1024
+
+// store caches an upstream answer. Whenever the cache has doubled since
+// the last sweep, it first drops every expired entry. A lookup never
+// serves an expired entry, and virtual time never runs backwards, so an
+// expired entry can never answer again and dropping it changes no reply.
+// The doubling rule keeps the cache within twice its live entries (plus
+// minSweep) at a cost amortized to O(1) per insert.
+func (inst *Instance) store(now time.Time, key cacheKey, e cacheEntry) {
+	if len(inst.cache) >= max(2*inst.swept, minSweep) {
+		for k, old := range inst.cache {
+			if !now.Before(old.expires) {
+				delete(inst.cache, k)
+			}
+		}
+		inst.swept = len(inst.cache)
+	}
+	inst.cache[key] = e
 }
 
 type cacheKey struct {
@@ -283,9 +307,9 @@ func (s *Service) recurseDoH(n *netsim.Network, inst *Instance, q *dnswire.Messa
 			if len(msg.Answers) > 0 {
 				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
 			}
-			inst.cache[cacheKey{q.QName(), q.QType()}] = cacheEntry{
+			inst.store(n.Now(), cacheKey{q.QName(), q.QType()}, cacheEntry{
 				answers: msg.Answers, rcode: msg.Header.Rcode, expires: n.Now().Add(ttl),
-			}
+			})
 			s.pushDoH(n, client, q, msg.Header.Rcode, msg.Answers)
 		},
 		OnTimeout: func(n *netsim.Network) {
@@ -446,10 +470,10 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 			if len(msg.Answers) > 0 {
 				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
 			}
-			inst.cache[cacheKey{q.QName(), q.QType()}] = cacheEntry{
+			inst.store(n.Now(), cacheKey{q.QName(), q.QType()}, cacheEntry{
 				answers: msg.Answers, rcode: msg.Header.Rcode,
 				expires: n.Now().Add(ttl),
-			}
+			})
 			s.replyToClient(n, client, q, msg.Header.Rcode, msg.Answers)
 		},
 		OnTimeout: func(n *netsim.Network) {

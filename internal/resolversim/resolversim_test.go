@@ -1,6 +1,7 @@
 package resolversim
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -500,5 +501,73 @@ func TestDoHCacheHit(t *testing.T) {
 	}
 	if svc.Stats().CacheHits != 1 {
 		t.Errorf("stats = %+v", svc.Stats())
+	}
+}
+
+// TestResolverCacheEviction streams unique names through one instance
+// while virtual time advances, so entries expire behind the stream: the
+// cache must stay within twice its unexpired entries (plus the sweep
+// floor), a live entry must still answer from cache after sweeps, and an
+// expired one must recurse upstream again.
+func TestResolverCacheEviction(t *testing.T) {
+	n, geo := testWorld()
+	svc, authQueries, client := buildResolver(n, geo, 0)
+	inst := svc.def
+	unexpired := func() int {
+		live := 0
+		for _, e := range inst.cache {
+			if n.Now().Before(e.expires) {
+				live++
+			}
+		}
+		return live
+	}
+	// stream sends one unique name per virtual second. The answers land
+	// within milliseconds; the requests' timeouts drain in the later steps.
+	stream := func(prefix string, count int) {
+		t.Helper()
+		for i := 0; i < count; i++ {
+			q := dnswire.NewQuery(uint16(i), fmt.Sprintf("%s%d.www.experiment.domain", prefix, i), dnswire.TypeA)
+			payload, err := q.Encode()
+			if err != nil {
+				t.Fatal(err)
+			}
+			client.SendUDPRequest(n, wire.Endpoint{Addr: svc.Addr, Port: 53}, payload, netsim.UDPRequestOpts{Timeout: 5 * time.Second})
+			n.Run(n.Now().Add(time.Second))
+			if got, live := len(inst.cache), unexpired(); got > 2*live+minSweep {
+				t.Fatalf("after %d names: cache holds %d entries, %d unexpired (bound %d)", i+1, got, live, 2*live+minSweep)
+			}
+		}
+		n.RunUntilIdle()
+	}
+
+	// The stub authority answers with a 3600 s TTL. 1,500 names in 1,500 s
+	// pass the 1,024-entry sweep floor while "kept" is still live.
+	queryViaClient(t, n, client, svc.Addr, "kept.www.experiment.domain")
+	stream("a", 1500)
+	if inst.swept == 0 {
+		t.Fatal("no sweep ran over 1,500 unique names")
+	}
+	before := svc.Stats()
+	queryViaClient(t, n, client, svc.Addr, "kept.www.experiment.domain")
+	after := svc.Stats()
+	if after.CacheHits != before.CacheHits+1 || after.Upstream != before.Upstream {
+		t.Errorf("live entry after a sweep: cache hits %d -> %d, upstream %d -> %d; want one hit, no recursion",
+			before.CacheHits, after.CacheHits, before.Upstream, after.Upstream)
+	}
+
+	// Stream on past the TTL of "kept" and through the next doubling, so a
+	// sweep finds it expired.
+	stream("b", 3000)
+	if _, ok := inst.cache[cacheKey{"kept.www.experiment.domain", dnswire.TypeA}]; ok {
+		t.Fatal("expired entry survived every sweep")
+	}
+	queries := *authQueries
+	before = svc.Stats()
+	queryViaClient(t, n, client, svc.Addr, "kept.www.experiment.domain")
+	after = svc.Stats()
+	if *authQueries != queries+1 || after.CacheHits != before.CacheHits {
+		t.Errorf("expired entry: auth queries %d -> %d, cache hits %d -> %d; want one recursion, no hit",
+			queries, *authQueries, before.CacheHits, after.CacheHits)
 	}
 }

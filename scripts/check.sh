@@ -51,6 +51,19 @@ echo "== dnswire decode fuzz smoke"
 # lands in internal/dnswire/testdata/fuzz/ and belongs in the commit.
 go test -run '^$' -fuzz '^FuzzDecode$' -fuzztime 10s ./internal/dnswire
 
+echo "== decoy sniff differential fuzz smoke"
+# The observer-tap fast paths (QueryNameFromBytes, HostFromBytes,
+# SNIFromBytes, with and without interning) must extract what the full
+# DNS, HTTP and TLS decoders do, or all must reject: a disagreement
+# attributes a shadowed capture to the wrong decoy.
+go test -run '^$' -fuzz '^FuzzSniffAgree$' -fuzztime 10s ./internal/decoy
+
+echo "== identifier round-trip fuzz smoke"
+# Encode -> Decode must return the same ID for any fields in the epoch
+# window, and Decode must never panic on an arbitrary label: the send log
+# and the honeypot pre-filter key on these labels.
+go test -run '^$' -fuzz '^FuzzIdentifierRoundTrip$' -fuzztime 10s ./internal/identifier
+
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce
 # byte-identical exports across separate processes. A diff here usually
@@ -329,6 +342,17 @@ allocs=$(go test -run '^$' -bench BenchmarkAppendEncode -benchmem ./internal/dns
 echo "BenchmarkAppendEncode: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "scratch DNS encode allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+
+echo "== identifier intern-hit allocation gate"
+# Every observer tap sniffs names through a bounded two-generation
+# interner; a name it already holds must come back without allocating.
+allocs=$(go test -run '^$' -bench BenchmarkInternHit -benchmem ./internal/identifier |
+    awk '/BenchmarkInternHit/ {print $(NF-1)}')
+echo "BenchmarkInternHit: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "intern-hit allocations regressed: $allocs allocs/op (gate: 0)" >&2
     exit 1
 fi
 

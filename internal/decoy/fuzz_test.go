@@ -73,6 +73,10 @@ func FuzzSniffAgree(f *testing.F) {
 	f.Add(uint8(0), []byte{})
 	f.Add(uint8(1), []byte("GET / HTTP/1.1\r\nHost: A.Example.\r\nhost: b.example\r\n\r\n"))
 	f.Add(uint8(1), []byte("POST /x HTTP/1.1\r\nHost: c.example\r\nContent-Length: 4\r\n\r\nab"))
+	// A signed and a superseded Content-Length: the tap once rejected both
+	// while the full parser accepted them.
+	f.Add(uint8(1), []byte("GET / HTTP/1.1\r\nHost: d.example\r\nContent-Length: +0\r\n\r\n"))
+	f.Add(uint8(1), []byte("GET / HTTP/1.1\r\nHost: e.example\r\nContent-Length: x\r\nContent-Length: 0\r\n\r\n"))
 	f.Add(uint8(0), []byte{0, 1, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 3, 'W', 'w', 'W', 0xC0, 12, 0, 1, 0, 1})
 
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {

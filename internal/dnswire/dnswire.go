@@ -365,7 +365,8 @@ func Decode(data []byte) (*Message, error) {
 
 // DecodeInto parses a wire-format DNS message into m, reusing m's section
 // slices (truncated and refilled in place). Decoded names and TXT payloads
-// are freshly allocated strings, so nothing in m aliases data — but the
+// are freshly allocated strings, so nothing in m aliases data (a record
+// name compressed to the question name shares that name's string) — but the
 // section backing arrays are recycled across calls, so DecodeInto is only
 // for call sites that fully consume (or copy out of) one message before
 // decoding the next. Everyone else should use Decode.
@@ -395,10 +396,14 @@ func DecodeInto(m *Message, data []byte) error {
 	h.ARCount = binary.BigEndian.Uint16(data[10:12])
 
 	off := 12
+	var q question
 	for i := 0; i < int(h.QDCount); i++ {
-		name, n, err := decodeName(data, off)
+		name, n, jumps, err := decodeName(data, off)
 		if err != nil {
 			return err
+		}
+		if i == 0 {
+			q = question{name: name, ok: jumps <= maxJumps}
 		}
 		off = n
 		if off+4 > len(data) {
@@ -412,20 +417,43 @@ func DecodeInto(m *Message, data []byte) error {
 		off += 4
 	}
 	var err error
-	if m.Answers, off, err = decodeRRs(m.Answers, data, off, int(h.ANCount)); err != nil {
+	if m.Answers, off, err = decodeRRs(m.Answers, data, off, int(h.ANCount), q); err != nil {
 		return err
 	}
-	if m.Authority, off, err = decodeRRs(m.Authority, data, off, int(h.NSCount)); err != nil {
+	if m.Authority, off, err = decodeRRs(m.Authority, data, off, int(h.NSCount), q); err != nil {
 		return err
 	}
-	if m.Additional, _, err = decodeRRs(m.Additional, data, off, int(h.ARCount)); err != nil {
+	if m.Additional, _, err = decodeRRs(m.Additional, data, off, int(h.ARCount), q); err != nil {
 		return err
 	}
 	return nil
 }
 
+// question is the first question name of a message being decoded, which a
+// response's record names and targets mostly repeat as the two-byte
+// pointer C0 0C to offset 12.
+type question struct {
+	name string
+	// ok is set when a question was decoded at offset 12 following at
+	// most maxJumps pointers, so decodeName would follow C0 0C to the same
+	// name. Otherwise the pointer goes through decodeName: with no question
+	// it is ErrBadPointer, and after a chain that long it is one jump too
+	// many.
+	ok bool
+}
+
+// nameAt decodes the name at off like decodeName, but returns q's string
+// for exactly the pointer C0 0C instead of assembling a fresh copy.
+func (q question) nameAt(data []byte, off int) (string, int, error) {
+	if q.ok && off+1 < len(data) && data[off] == 0xC0 && data[off+1] == 12 {
+		return q.name, off + 2, nil
+	}
+	name, end, _, err := decodeName(data, off)
+	return name, end, err
+}
+
 // decodeRRs appends count records onto dst, reusing its backing array.
-func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
+func decodeRRs(dst []RR, data []byte, off, count int, q question) ([]RR, int, error) {
 	if count == 0 {
 		return dst, off, nil
 	}
@@ -434,7 +462,7 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 		rrs = make([]RR, 0, count)
 	}
 	for i := 0; i < count; i++ {
-		name, n, err := decodeName(data, off)
+		name, n, err := q.nameAt(data, off)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -459,8 +487,8 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 				return nil, 0, fmt.Errorf("dnswire: A record rdlength %d", rdlen)
 			}
 			copy(r.Addr[:], rdata)
-		case TypeCNAME, TypeNS:
-			t, _, err := decodeName(data, off)
+		case TypeCNAME, TypeNS, TypeSOA:
+			t, _, err := q.nameAt(data, off)
 			if err != nil {
 				return nil, 0, err
 			}
@@ -473,12 +501,6 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 				}
 				r.Text = string(rdata[1 : 1+sl])
 			}
-		case TypeSOA:
-			t, _, err := decodeName(data, off)
-			if err != nil {
-				return nil, 0, err
-			}
-			r.Target = t
 		}
 		off += rdlen
 		rrs = append(rrs, r)
@@ -486,12 +508,17 @@ func decodeRRs(dst []RR, data []byte, off, count int) ([]RR, int, error) {
 	return rrs, off, nil
 }
 
+// maxJumps bounds compression-pointer chains: decodeName refuses a pointer
+// met after it has already followed more than maxJumps of them.
+const maxJumps = 32
+
 // decodeName reads a possibly-compressed name starting at off, returning the
-// presentation-form name (lowercase, no trailing dot) and the offset just
-// past the name in the original (non-pointer) encoding. The name assembles
-// in a stack buffer — lowercased as it is copied — so the only allocation
-// is the returned string.
-func decodeName(data []byte, off int) (string, int, error) {
+// presentation-form name (lowercase, no trailing dot), the offset just past
+// the name in the original (non-pointer) encoding, and the number of
+// compression pointers followed. The name assembles in a stack buffer —
+// lowercased as it is copied — so the only allocation is the returned
+// string.
+func decodeName(data []byte, off int) (string, int, int, error) {
 	// 253 presentation octets is the longest legal name; anything that
 	// overruns the buffer is ErrNameTooLong whenever it terminates.
 	var buf [254]byte
@@ -501,7 +528,7 @@ func decodeName(data []byte, off int) (string, int, error) {
 	jumps := 0
 	for {
 		if off >= len(data) {
-			return "", 0, ErrTruncated
+			return "", 0, 0, ErrTruncated
 		}
 		b := data[off]
 		switch {
@@ -510,43 +537,43 @@ func decodeName(data []byte, off int) (string, int, error) {
 				end = off + 1
 			}
 			if n > 253 {
-				return "", 0, ErrNameTooLong
+				return "", 0, 0, ErrNameTooLong
 			}
 			if nonASCII {
 				// Match strings.ToLower on the original bytes exactly
 				// (multi-byte case folding) for the rare non-ASCII name.
-				return strings.ToLower(string(buf[:n])), end, nil
+				return strings.ToLower(string(buf[:n])), end, jumps, nil
 			}
-			return string(buf[:n]), end, nil
+			return string(buf[:n]), end, jumps, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(data) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(data[off:off+2]) & 0x3FFF)
 			if end < 0 {
 				end = off + 2
 			}
-			if ptr >= off || jumps > 32 {
-				return "", 0, ErrBadPointer
+			if ptr >= off || jumps > maxJumps {
+				return "", 0, 0, ErrBadPointer
 			}
 			off = ptr
 			jumps++
 		case b&0xC0 != 0:
-			return "", 0, ErrBadName
+			return "", 0, 0, ErrBadName
 		default:
 			l := int(b)
 			if off+1+l > len(data) {
-				return "", 0, ErrTruncated
+				return "", 0, 0, ErrTruncated
 			}
 			if n > 0 {
 				if n >= len(buf) {
-					return "", 0, ErrNameTooLong
+					return "", 0, 0, ErrNameTooLong
 				}
 				buf[n] = '.'
 				n++
 			}
 			if n+l > len(buf) {
-				return "", 0, ErrNameTooLong
+				return "", 0, 0, ErrNameTooLong
 			}
 			for i := 0; i < l; i++ {
 				c := data[off+1+i]
@@ -557,7 +584,7 @@ func decodeName(data []byte, off int) (string, int, error) {
 				} else if c == '.' {
 					// The presentation form has no escapes, so a dot inside
 					// a label would re-encode as a label boundary.
-					return "", 0, ErrBadName
+					return "", 0, 0, ErrBadName
 				}
 				buf[n] = c
 				n++
@@ -676,9 +703,53 @@ func queryNameSlow(data []byte, in Interner) (string, bool) {
 }
 
 // Canonical lowercases a domain name and strips any trailing dot, giving the
-// form used as map keys throughout the pipeline.
+// form used as map keys throughout the pipeline. A name already in that form
+// (the simulator's names almost always are) comes back without a copy.
 func Canonical(name string) string {
-	return strings.ToLower(strings.TrimSuffix(name, "."))
+	name = strings.TrimSuffix(name, ".")
+	if isLowerASCII(name) {
+		return name
+	}
+	return strings.ToLower(name)
+}
+
+// isLowerASCII reports whether s has no byte in 'A'..'Z' and none >= 0x80,
+// so strings.ToLower(s) == s. It tests eight bytes per step, the last step
+// overlapping the one before it when len(s) is not a multiple of 8.
+func isLowerASCII(s string) bool {
+	if len(s) < 8 {
+		for i := 0; i < len(s); i++ {
+			if c := s[i]; c >= 0x80 || 'A' <= c && c <= 'Z' {
+				return false
+			}
+		}
+		return true
+	}
+	acc := notLowerASCII(wordAt(s[len(s)-8:]))
+	for ; len(s) > 8; s = s[8:] {
+		acc |= notLowerASCII(wordAt(s))
+	}
+	return acc == 0
+}
+
+// wordAt loads s[0:8] as a little-endian word; the compiler merges the
+// shifts into one 8-byte load.
+func wordAt(s string) uint64 {
+	return uint64(s[0]) | uint64(s[1])<<8 | uint64(s[2])<<16 | uint64(s[3])<<24 |
+		uint64(s[4])<<32 | uint64(s[5])<<40 | uint64(s[6])<<48 | uint64(s[7])<<56
+}
+
+// notLowerASCII sets the top bit of each byte of w that is in 'A'..'Z' or
+// >= 0x80, and possibly of bytes above one >= 0x80. For a byte below 0x80,
+// adding 0x80-'A' sets its top bit iff it is >= 'A', and adding 0x80-'Z'-1
+// sets it iff it is > 'Z'; neither sum carries into the next byte.
+func notLowerASCII(w uint64) uint64 {
+	const (
+		ones = 0x0101010101010101
+		geA  = (0x80 - 'A') * ones
+		gtZ  = (0x80 - 'Z' - 1) * ones
+	)
+	return (w | (w+geA)&^(w+gtZ)) & (0x80 * ones)
 }
 
 // IsSubdomain reports whether name is equal to or under zone.

@@ -14,7 +14,9 @@ import (
 // record class written as IN), and re-encoding that result must give the
 // same bytes. Encode may refuse only what it cannot express: record types
 // it does not serialize, SOA records (whose generated hostmaster name can
-// overflow), and non-ASCII names that case folding lengthened.
+// overflow), and non-ASCII names that case folding lengthened. Decode must
+// also agree, error for error and field for field, with decodePlain, which
+// never reuses the question name for a C0 0C pointer.
 //
 //	go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/dnswire
 func FuzzDecode(f *testing.F) {
@@ -60,8 +62,8 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Decode(data)
-		if err != nil {
+		m := checkAgainstPlain(t, data)
+		if m == nil {
 			return
 		}
 		enc, err := m.Encode()
@@ -172,5 +174,43 @@ func TestEncodeNameLengthLimit(t *testing.T) {
 	}
 	if _, err := NewQuery(1, name+"a", TypeA).Encode(); err != ErrNameTooLong {
 		t.Errorf("254-octet name: err = %v, want ErrNameTooLong", err)
+	}
+}
+
+// FuzzCanonical checks Canonical's word-at-a-time fast path against its
+// definition for any string. The seeds put each byte on either side of the
+// 'A'..'Z' and 'a'..'z' ranges, DEL and the first non-ASCII byte at every
+// offset of the first two 8-byte words, with and without trailing dots.
+//
+//	go test -run '^$' -fuzz FuzzCanonical -fuzztime 10s ./internal/dnswire
+func FuzzCanonical(f *testing.F) {
+	const base = "abcdefghijklmnopq"
+	for _, c := range []byte{'@', 'A', 'Z', '[', '`', 'a', 'z', '{', 0x7F, 0x80} {
+		for i := 0; i <= 16; i++ {
+			s := base[:i] + string([]byte{c}) + base[i:]
+			for _, dots := range []string{"", ".", ".."} {
+				f.Add(s[:i+1] + dots)
+				f.Add(s + dots)
+			}
+		}
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if got, want := Canonical(s), strings.ToLower(strings.TrimSuffix(s, ".")); got != want {
+			t.Fatalf("Canonical(%q) = %q, want %q", s, got, want)
+		}
+	})
+}
+
+// TestCanonicalAllocsZero checks that an already-canonical name, the
+// common case, comes back without a copy.
+func TestCanonicalAllocsZero(t *testing.T) {
+	name := "g6d8jjkut5obc4-9982.www.experiment.domain."
+	var got string
+	allocs := testing.AllocsPerRun(100, func() { got = Canonical(name) })
+	if allocs != 0 {
+		t.Errorf("Canonical(%q) allocates %v times, want 0", name, allocs)
+	}
+	if got != name[:len(name)-1] {
+		t.Errorf("Canonical(%q) = %q", name, got)
 	}
 }

@@ -33,6 +33,12 @@ func TestHostFromBytesMatchesParseRequest(t *testing.T) {
 		[]byte("GET / HTTP/1.1\r\nHost: h.example\r\n\r\nbody"), // trailing bytes
 		[]byte("GET / HTTP/1.1\r\nHost: a\r\nHost: b\r\n\r\n"),  // duplicate host
 		[]byte("GET / HTTP/1.1\r\nbadheader\r\n\r\n"),           // missing colon
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\n \t: v\r\n\r\n"),   // blank name
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\nContent-Length: +0\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\nContent-Length: x\r\nContent-Length: 1\r\n\r\nb"),
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\nContent-Length: 1\r\nContent-Length: 3\r\n\r\nb"),
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\nContent-Length: 9223372036854775808\r\n\r\n"),
+		[]byte("GET / HTTP/1.1\r\nHost: h\r\nContent-Length: 18446744073709551617\r\n\r\n"),
 		[]byte("bogus\r\n\r\n"),
 		NewResponse(200, "hello").Encode(), // responses must not sniff
 		nil,

@@ -8,6 +8,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -262,12 +263,14 @@ func parseHeaders(head []byte) (map[string]string, error) {
 		if len(line) == 0 {
 			continue
 		}
-		i := bytes.IndexByte(line, ':')
-		if i <= 0 {
+		// A field name is at least one character (RFC 9110 §5.1); one that
+		// is all whitespace would re-encode as a line with no name.
+		name, val, ok := bytes.Cut(line, []byte(":"))
+		if name = bytes.TrimSpace(name); !ok || len(name) == 0 {
 			return nil, fmt.Errorf("%w: bad header line %q", ErrMalformed, line)
 		}
-		key := lowerString(bytes.TrimSpace(line[:i]))
-		val := bytes.TrimSpace(line[i+1:])
+		key := lowerString(name)
+		val = bytes.TrimSpace(val)
 		if s, ok := valueAtom(val); ok {
 			h[key] = s
 		} else {
@@ -329,18 +332,37 @@ func lowerString(b []byte) string {
 }
 
 func takeBody(headers map[string]string, body []byte) ([]byte, error) {
-	cl := headers["content-length"]
-	if cl == "" {
+	cl, ok := headers["content-length"]
+	if !ok {
 		return body, nil
 	}
-	n, err := strconv.Atoi(cl)
-	if err != nil || n < 0 {
+	n, ok := contentLength(cl)
+	if !ok {
 		return nil, fmt.Errorf("%w: bad content-length %q", ErrMalformed, cl)
 	}
 	if len(body) < n {
 		return nil, ErrIncomplete
 	}
 	return body[:n], nil
+}
+
+// contentLength parses a Content-Length value: one or more ASCII digits
+// (RFC 9110 §8.6) whose value fits an int. ParseRequest and HostFromBytes
+// both use it, so the observer tap accepts exactly the bodies the full
+// parser does.
+func contentLength[T string | []byte](v T) (int, bool) {
+	if len(v) == 0 {
+		return 0, false
+	}
+	n := 0
+	for i := 0; i < len(v); i++ {
+		d := int(v[i]) - '0'
+		if d < 0 || d > 9 || n > (math.MaxInt-d)/10 {
+			return 0, false
+		}
+		n = n*10 + d
+	}
+	return n, true
 }
 
 // HostFromBytes extracts the Host header of a serialized request without
@@ -373,9 +395,8 @@ func HostFromBytes(data []byte) (string, bool) {
 		return "", false
 	}
 
-	var host []byte
-	hostSeen := false
-	contentLen := -1
+	var host, cl []byte
+	hostSeen, clSeen := false, false
 	rest := head[min(lineEnd+2, len(head)):]
 	for len(rest) > 0 {
 		var hl []byte
@@ -388,30 +409,25 @@ func HostFromBytes(data []byte) (string, bool) {
 			continue
 		}
 		colon := bytes.IndexByte(hl, ':')
-		if colon <= 0 {
+		if colon < 0 {
 			return "", false
 		}
 		key := bytes.TrimSpace(hl[:colon])
+		if len(key) == 0 {
+			return "", false
+		}
 		val := bytes.TrimSpace(hl[colon+1:])
 		switch {
 		case len(key) == 4 && asciiEqualFold(key, "host"):
 			host, hostSeen = val, true // last wins, as in the map parser
 		case len(key) == 14 && asciiEqualFold(key, "content-length"):
-			n := 0
-			if len(val) == 0 {
-				return "", false
-			}
-			for _, c := range val {
-				if c < '0' || c > '9' {
-					return "", false
-				}
-				n = n*10 + int(c-'0')
-			}
-			contentLen = n
+			cl, clSeen = val, true // last wins, as in the map parser
 		}
 	}
-	if contentLen >= 0 && len(body) < contentLen {
-		return "", false // ErrIncomplete in the full parser
+	if clSeen {
+		if n, ok := contentLength(cl); !ok || len(body) < n {
+			return "", false // ErrMalformed or ErrIncomplete in the full parser
+		}
 	}
 	if !hostSeen {
 		return "", false

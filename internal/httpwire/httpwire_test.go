@@ -2,6 +2,7 @@ package httpwire
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -92,6 +93,12 @@ func TestParseErrors(t *testing.T) {
 	if _, err := ParseRequest([]byte("GET / HTTP/1.1\r\nbadheader\r\n\r\n")); err == nil {
 		t.Error("bad header should fail")
 	}
+	// FuzzParseRequest's first finding (testdata/fuzz/FuzzParseRequest/
+	// ea63fec3b1822925): a name of only whitespace parsed to the key "",
+	// which Encode writes as a line ": " that no parser accepts.
+	if _, err := ParseRequest([]byte("GET / HTTP/1.1\r\n :\r\n\r\n")); err == nil {
+		t.Error("blank header name should fail")
+	}
 	if _, err := ParseResponse([]byte("HTTP/1.1 xx OK\r\n\r\n")); err == nil {
 		t.Error("bad status code should fail")
 	}
@@ -100,6 +107,15 @@ func TestParseErrors(t *testing.T) {
 	}
 	if _, err := ParseRequest([]byte("GET / HTTP/1.1\r\nContent-Length: -1\r\n\r\n")); err == nil {
 		t.Error("negative content-length should fail")
+	}
+	// Content-Length is one or more digits (RFC 9110 §8.6). strconv.Atoi
+	// also took a sign, which HostFromBytes never did, so the observer tap
+	// and the full parser disagreed on "+0".
+	for _, cl := range []string{"+0", "-0", " ", "0x10", "9223372036854775808"} {
+		raw := "GET / HTTP/1.1\r\nHost: h\r\nContent-Length: " + cl + "\r\n\r\n"
+		if _, err := ParseRequest([]byte(raw)); !errors.Is(err, ErrMalformed) {
+			t.Errorf("content-length %q: err = %v, want ErrMalformed", cl, err)
+		}
 	}
 }
 

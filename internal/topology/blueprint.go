@@ -156,7 +156,8 @@ func (bp *Blueprint) Instantiate(seed int64) *Topology {
 		silent:       bp.silent,
 		routersN:     bp.routersN,
 		rng:          rand.New(rand.NewSource(seed)),
-		pathCache:    make(map[[2]int][]*netsim.Router),
+		pathCache:    make(map[uint64][]*netsim.Router),
+		pathASN:      make(map[wire.Addr]int),
 		bp:           bp,
 	}
 	for k := range bp.taken16 {

@@ -83,7 +83,13 @@ type Topology struct {
 	silent    float64
 	routersN  int
 	rng       *rand.Rand
-	pathCache map[[2]int][]*netsim.Router
+	pathCache map[uint64][]*netsim.Router // keyed by pathKey
+	// pathASN memoizes Path's address-to-ASN lookups. It holds only
+	// addresses that reached Path, so it is bounded by the world's hosts
+	// and routers, and every Geo registration clears it, so a later,
+	// more specific prefix still wins. Like pathCache, only the world's
+	// event-loop goroutine touches it.
+	pathASN map[wire.Addr]int
 
 	// buildOrder and routerBirths record construction order (AS creation
 	// and router creation respectively) so a Blueprint snapshot can replay
@@ -129,7 +135,8 @@ func Build(cfg Config) *Topology {
 		silent:       silent,
 		routersN:     cfg.RoutersPerAS,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
-		pathCache:    make(map[[2]int][]*netsim.Router),
+		pathCache:    make(map[uint64][]*netsim.Router),
+		pathASN:      make(map[wire.Addr]int),
 	}
 
 	countries := Countries
@@ -249,6 +256,7 @@ func (t *Topology) AddServiceAS(asn int, name, country string, addr wire.Addr, h
 		if err != nil {
 			panic(fmt.Sprintf("topology: register %s/24: %v", addr, err))
 		}
+		clear(t.pathASN)
 	}
 	as.used[addr] = true
 	t.taken16[addr.Slash24().Uint32()>>16] = true
@@ -273,6 +281,7 @@ func (t *Topology) registerLocked(as *AS) {
 		// is a construction bug, not a runtime condition.
 		panic(fmt.Sprintf("topology: register %v/%d: %v", as.prefix, as.prefixLen, err))
 	}
+	clear(t.pathASN)
 }
 
 // addRouter appends a router to as, placed in a reserved corner of the
@@ -433,26 +442,43 @@ func (t *Topology) PathFunc() netsim.PathFunc {
 // symmetric in structure but computed per direction; results are cached per
 // AS pair.
 //
-// The fast path takes no lock: the per-world cache map is read and written
-// only by the world's own event-loop goroutine (the same single-goroutine
-// contract the rest of netsim state lives under). Worlds instantiated from
-// a shared Blueprint additionally consult its cross-world structural cache
-// on a miss, so a path computed by one trial is reused — as router indices,
-// resolved against this world's own routers — by every other trial.
+// The fast path takes no lock: the per-world cache maps (address to ASN,
+// AS pair to path) are read and written only by the world's own event-loop
+// goroutine (the same single-goroutine contract the rest of netsim state
+// lives under). Worlds instantiated from a shared Blueprint additionally
+// consult its cross-world structural cache on a miss, so a path computed
+// by one trial is reused — as router indices, resolved against this
+// world's own routers — by every other trial.
 func (t *Topology) Path(src, dst wire.Addr) []*netsim.Router {
-	srcInfo, ok := t.Geo.Lookup(src)
+	srcASN, ok := t.asnOf(src)
 	if !ok {
 		return nil
 	}
-	dstInfo, ok := t.Geo.Lookup(dst)
+	dstASN, ok := t.asnOf(dst)
 	if !ok {
 		return nil
 	}
-	key := [2]int{srcInfo.ASN, dstInfo.ASN}
-	if p, ok := t.pathCache[key]; ok {
+	if p, ok := t.pathCache[pathKey(srcASN, dstASN)]; ok {
 		return p
 	}
-	return t.pathSlow(key)
+	return t.pathSlow([2]int{srcASN, dstASN})
+}
+
+// pathKey packs an AS pair into one word, which the map hashes faster than
+// a [2]int. ASNs are 32-bit numbers (RFC 6793).
+func pathKey(src, dst int) uint64 { return uint64(uint32(src))<<32 | uint64(uint32(dst)) }
+
+// asnOf returns the ASN Geo registers addr under, memoized in pathASN.
+// Unregistered addresses are not memoized: Path drops their packets.
+func (t *Topology) asnOf(addr wire.Addr) (int, bool) {
+	if asn, ok := t.pathASN[addr]; ok {
+		return asn, true
+	}
+	info, ok := t.Geo.Lookup(addr)
+	if ok {
+		t.pathASN[addr] = info.ASN
+	}
+	return info.ASN, ok
 }
 
 // pathSlow fills a per-world cache miss, sharing structural work through
@@ -476,7 +502,7 @@ func (t *Topology) pathSlow(key [2]int) []*netsim.Router {
 		p = t.buildPath(src, dst)
 	}
 	t.mu.Unlock()
-	t.pathCache[key] = p
+	t.pathCache[pathKey(key[0], key[1])] = p
 	return p
 }
 

@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"reflect"
 	"testing"
 
 	"shadowmeter/internal/netsim"
@@ -234,6 +235,79 @@ func TestSomeRoutersICMPSilent(t *testing.T) {
 	}
 	if silent == 0 || silent == total {
 		t.Errorf("silent = %d/%d, want a mix", silent, total)
+	}
+}
+
+// TestPathASNMemoInvalidation memoizes two destinations' ASNs through
+// Path, then registers a more specific /24 for each under a new ASN: the
+// first through AddServiceAS's new-AS branch, the second through its
+// extra-prefix branch. Path must follow each registration, exactly as in a
+// world that registered both up front, for cold-built and blueprint worlds
+// alike.
+func TestPathASNMemoInvalidation(t *testing.T) {
+	const serviceASN = 394999
+	bp := NewBlueprint(Config{})
+	for _, world := range []struct {
+		name string
+		new  func() *Topology
+	}{
+		{"cold", func() *Topology { return Build(Config{Seed: 42}) }},
+		{"blueprint", func() *Topology { return bp.Instantiate(42) }},
+	} {
+		t.Run(world.name, func(t *testing.T) {
+			hosts := func(topo *Topology) []wire.Addr {
+				var out []wire.Addr
+				for _, c := range []string{"DE", "US", "GB"} {
+					out = append(out, topo.AllocHostAddr(topo.HostingASes(c)[0]))
+				}
+				return out
+			}
+			lastASN := func(topo *Topology, p []*netsim.Router) int {
+				return topo.ASOf(p[len(p)-1].Addr).ASN
+			}
+			late := world.new()
+			addrs := hosts(late)
+			src, dsts := addrs[0], addrs[1:]
+			for _, dst := range dsts {
+				if got := lastASN(late, late.Path(src, dst)); got == serviceASN {
+					t.Fatalf("path to %v already ends in AS%d", dst, got)
+				}
+				late.AddServiceAS(serviceASN, "Anycast Service", "US", dst, true)
+				if got := lastASN(late, late.Path(src, dst)); got != serviceASN {
+					t.Fatalf("after registering %v/24, path ends in AS%d, want AS%d", dst.Slash24(), got, serviceASN)
+				}
+			}
+
+			early := world.new()
+			if got := hosts(early); !reflect.DeepEqual(got, addrs) {
+				t.Fatalf("worlds allocated %v and %v", addrs, got)
+			}
+			for _, dst := range dsts {
+				early.AddServiceAS(serviceASN, "Anycast Service", "US", dst, true)
+			}
+			for _, dst := range dsts {
+				got, want := late.Path(src, dst), early.Path(src, dst)
+				if len(got) != len(want) {
+					t.Fatalf("path to %v has %d hops, up-front registration gives %d", dst, len(got), len(want))
+				}
+				for i := range got {
+					if got[i].Addr != want[i].Addr || got[i].Name != want[i].Name {
+						t.Errorf("path to %v hop %d: %s %v, up-front registration gives %s %v", dst, i, got[i].Name, got[i].Addr, want[i].Name, want[i].Addr)
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestPathWarmAllocsZero checks that a memoized Path allocates nothing.
+func TestPathWarmAllocsZero(t *testing.T) {
+	topo := Build(Config{Seed: 42})
+	src := topo.AllocHostAddr(topo.HostingASes("DE")[0])
+	dst := topo.AllocHostAddr(topo.HostingASes("US")[0])
+	topo.Path(src, dst)
+	if allocs := testing.AllocsPerRun(100, func() { topo.Path(src, dst) }); allocs != 0 {
+		t.Errorf("warm Path allocates %v times per call, want 0", allocs)
 	}
 }
 

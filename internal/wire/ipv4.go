@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math/bits"
 )
 
 // IPProto is the IPv4 protocol number.
@@ -185,17 +186,39 @@ func DecrementTTL(pkt []byte) (uint8, error) {
 
 // Checksum computes the Internet checksum (RFC 1071) over data.
 func Checksum(data []byte) uint16 {
-	var sum uint32
-	for i := 0; i+1 < len(data); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(data[i : i+2]))
+	return ^fold(sumWords(data, 0))
+}
+
+// sumWords adds data to sum as big-endian 64-bit words in one's-complement
+// arithmetic (end-around carry), zero-padding a short tail. RFC 1071 §2:
+// the one's-complement sum is the same at any word size that is a multiple
+// of 16 bits, so fold(sumWords(data, 0)) is the 16-bit sum of data. It is
+// 0 only when sum and every word are 0, as the 16-bit sum is.
+func sumWords(data []byte, sum uint64) uint64 {
+	var carry uint64
+	for len(data) >= 8 {
+		sum, carry = bits.Add64(sum, binary.BigEndian.Uint64(data), carry)
+		data = data[8:]
 	}
-	if len(data)%2 == 1 {
-		sum += uint32(data[len(data)-1]) << 8
+	if len(data) > 0 {
+		var w uint64
+		for i, b := range data {
+			w |= uint64(b) << (56 - 8*uint(i))
+		}
+		sum, carry = bits.Add64(sum, w, carry)
 	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
-	return ^uint16(sum)
+	sum, carry = bits.Add64(sum, 0, carry)
+	return sum + carry
+}
+
+// fold reduces a one's-complement sum to 16 bits. Each step adds the high
+// half into the low half, so a nonzero sum never folds to 0.
+func fold(sum uint64) uint16 {
+	sum = sum>>32 + sum&0xFFFFFFFF
+	sum = sum>>32 + sum&0xFFFFFFFF
+	sum = sum>>16 + sum&0xFFFF
+	sum = sum>>16 + sum&0xFFFF
+	return uint16(sum)
 }
 
 // pseudoHeaderSum computes the IPv4 pseudo-header partial sum used by the
@@ -213,15 +236,5 @@ func pseudoHeaderSum(src, dst Addr, proto IPProto, length int) uint32 {
 
 // transportChecksum computes a TCP/UDP checksum including the pseudo-header.
 func transportChecksum(src, dst Addr, proto IPProto, segment []byte) uint16 {
-	sum := pseudoHeaderSum(src, dst, proto, len(segment))
-	for i := 0; i+1 < len(segment); i += 2 {
-		sum += uint32(binary.BigEndian.Uint16(segment[i : i+2]))
-	}
-	if len(segment)%2 == 1 {
-		sum += uint32(segment[len(segment)-1]) << 8
-	}
-	for sum>>16 != 0 {
-		sum = sum&0xFFFF + sum>>16
-	}
-	return ^uint16(sum)
+	return ^fold(sumWords(segment, uint64(pseudoHeaderSum(src, dst, proto, len(segment)))))
 }

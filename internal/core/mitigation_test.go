@@ -22,6 +22,14 @@ func TestMitigationStudy(t *testing.T) {
 	if base.OnWireObservations == 0 {
 		t.Fatal("baseline produced no on-wire observations — study has no signal")
 	}
+	// The seed-21 baseline exactly. OnWireObservations counts client
+	// packets a tap sniffs on unsampled paths too, the one case where
+	// Device.Observe parses a packet it will not record.
+	want := MitigationResult{Mode: MitigationNone, DecoysSent: 5040, OnWireObservations: 2877,
+		ProblematicPaths: 896, UnsolicitedEvents: 3454, DistinctClientsSeen: 315}
+	if base != want {
+		t.Errorf("baseline = %+v, want %+v", base, want)
+	}
 	// ECH: the wire goes dark for TLS. The only on-wire observations left
 	// come from nothing — ECH hellos carry no SNI, and no other decoys run.
 	if ech.OnWireObservations != 0 {

@@ -219,82 +219,43 @@ func clientRandom(id identifier.ID) [32]byte {
 	return sha256.Sum256(seed[:])
 }
 
-// ExtractDomain pulls the experiment domain out of a decoy-protocol message
-// as an on-path observer would: QNAME for DNS, Host header for HTTP, SNI
-// for TLS. It returns ok=false when the payload does not parse or carries
-// no domain.
-func ExtractDomain(proto Protocol, payload []byte) (string, bool) {
-	return extractDomain(proto, payload, nil)
+// PortProtocol maps a destination port to the decoy protocol an on-path
+// DPI box expects there: 53 DNS, 80 HTTP, 443 TLS. Any other port carries
+// no decoy protocol, and ok is false.
+func PortProtocol(port uint16) (proto Protocol, ok bool) {
+	switch port {
+	case 53:
+		return DNS, true
+	case 80:
+		return HTTP, true
+	case 443:
+		return TLS, true
+	}
+	return 0, false
 }
 
-func extractDomain(proto Protocol, payload []byte, in *identifier.Interner) (string, bool) {
+// ExtractDomain pulls the experiment domain out of a decoy-protocol message
+// as an on-path observer would: QNAME for DNS, Host header for HTTP, SNI
+// for TLS, canonicalized. It returns ok=false when the payload does not
+// parse or carries no domain.
+func ExtractDomain(proto Protocol, payload []byte) (string, bool) {
 	switch proto {
 	case DNS:
-		if in != nil {
-			return dnswire.QueryNameInterned(payload, in)
-		}
 		return dnswire.QueryNameFromBytes(payload)
 	case HTTP:
 		host, ok := httpwire.HostFromBytes(payload)
 		if !ok || host == "" {
 			return "", false
 		}
-		return canonicalInterned(host, in), true
+		return dnswire.Canonical(host), true
 	case TLS:
 		name, err := tlswire.SNIFromBytes(payload)
 		if err != nil {
 			return "", false
 		}
-		return canonicalInterned(name, in), true
+		return dnswire.Canonical(name), true
 	}
 	return "", false
-}
-
-func canonicalInterned(name string, in *identifier.Interner) string {
-	c := dnswire.Canonical(name)
-	if in != nil {
-		return in.Intern(c)
-	}
-	return c
-}
-
-// SniffDomain inspects an arbitrary transport payload on ports (srcPort,
-// dstPort) and extracts a domain if the payload is one of the three decoy
-// protocols. This is the generic DPI routine observer taps run.
-func SniffDomain(dstPort uint16, payload []byte) (string, Protocol, bool) {
-	var s Sniffer
-	return s.sniff(dstPort, payload, nil)
-}
-
-// Sniffer is a per-consumer DPI scratch: SniffDomain plus an intern table,
-// so the same experiment domain crossing one observation point repeatedly
-// (resolver retries, probe traffic) is materialized once. Not safe for
-// concurrent use — one per tap device.
-type Sniffer struct {
-	in identifier.Interner
-}
-
-// SniffDomain is like the package-level SniffDomain with interning.
-func (s *Sniffer) SniffDomain(dstPort uint16, payload []byte) (string, Protocol, bool) {
-	return s.sniff(dstPort, payload, &s.in)
-}
-
-func (s *Sniffer) sniff(dstPort uint16, payload []byte, in *identifier.Interner) (string, Protocol, bool) {
-	switch dstPort {
-	case 53:
-		if d, ok := extractDomain(DNS, payload, in); ok {
-			return d, DNS, true
-		}
-	case 80:
-		if d, ok := extractDomain(HTTP, payload, in); ok {
-			return d, HTTP, true
-		}
-	case 443:
-		if d, ok := extractDomain(TLS, payload, in); ok {
-			return d, TLS, true
-		}
-	}
-	return "", 0, false
 }
 
 // Pacer enforces the ethics rate limit of Section A: at most `Rate` decoys

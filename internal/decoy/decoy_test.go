@@ -139,26 +139,40 @@ func TestExtractDomainRejects(t *testing.T) {
 	}
 }
 
+// sniff is what an observer tap runs on a packet: the destination port's
+// protocol, then that protocol's extractor.
+func sniff(dstPort uint16, payload []byte) (string, Protocol, bool) {
+	proto, ok := PortProtocol(dstPort)
+	if !ok {
+		return "", 0, false
+	}
+	domain, ok := ExtractDomain(proto, payload)
+	if !ok {
+		return "", 0, false
+	}
+	return domain, proto, true
+}
+
 func TestSniffDomainPortDispatch(t *testing.T) {
 	g := gen()
 	dDNS, _ := g.Generate(DNS, epoch, vp, dst, 64)
 	dHTTP, _ := g.Generate(HTTP, epoch, vp, dst, 64)
 	dTLS, _ := g.Generate(TLS, epoch, vp, dst, 64)
 
-	if dom, proto, ok := SniffDomain(53, dDNS.Payload); !ok || proto != DNS || dom != dDNS.Domain {
+	if dom, proto, ok := sniff(53, dDNS.Payload); !ok || proto != DNS || dom != dDNS.Domain {
 		t.Errorf("port 53 sniff: %q %v %v", dom, proto, ok)
 	}
-	if dom, proto, ok := SniffDomain(80, dHTTP.Payload); !ok || proto != HTTP || dom != dHTTP.Domain {
+	if dom, proto, ok := sniff(80, dHTTP.Payload); !ok || proto != HTTP || dom != dHTTP.Domain {
 		t.Errorf("port 80 sniff: %q %v %v", dom, proto, ok)
 	}
-	if dom, proto, ok := SniffDomain(443, dTLS.Payload); !ok || proto != TLS || dom != dTLS.Domain {
+	if dom, proto, ok := sniff(443, dTLS.Payload); !ok || proto != TLS || dom != dTLS.Domain {
 		t.Errorf("port 443 sniff: %q %v %v", dom, proto, ok)
 	}
 	// Wrong port: no extraction.
-	if _, _, ok := SniffDomain(22, dDNS.Payload); ok {
+	if _, _, ok := sniff(22, dDNS.Payload); ok {
 		t.Error("port 22 should not sniff")
 	}
-	if _, _, ok := SniffDomain(80, dDNS.Payload); ok {
+	if _, _, ok := sniff(80, dDNS.Payload); ok {
 		t.Error("DNS bytes on port 80 should not parse as HTTP")
 	}
 }
@@ -216,12 +230,12 @@ func BenchmarkGenerateDNS(b *testing.B) {
 	}
 }
 
-func BenchmarkSniffDomainTLS(b *testing.B) {
+func BenchmarkSniffTLS(b *testing.B) {
 	g := gen()
 	d, _ := g.Generate(TLS, epoch, vp, dst, 64)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, _, ok := SniffDomain(443, d.Payload); !ok {
+		if _, _, ok := sniff(443, d.Payload); !ok {
 			b.Fatal("sniff failed")
 		}
 	}
@@ -237,7 +251,7 @@ func TestGenerateECHHidesDomainFromWire(t *testing.T) {
 		t.Errorf("decoy = %+v", d)
 	}
 	// DPI extraction must fail on the wire bytes.
-	if _, _, ok := SniffDomain(443, d.Payload); ok {
+	if _, _, ok := sniff(443, d.Payload); ok {
 		t.Error("ECH decoy leaked a domain to DPI")
 	}
 	if strings.Contains(string(d.Payload), d.Label) {
@@ -255,7 +269,7 @@ func TestGenerateDoHHidesQNAMEFromWire(t *testing.T) {
 		t.Errorf("decoy = %+v", d)
 	}
 	// Port-443 DPI tries TLS and fails; port-53 DPI never sees it.
-	if _, _, ok := SniffDomain(443, d.Payload); ok {
+	if _, _, ok := sniff(443, d.Payload); ok {
 		t.Error("DoH decoy leaked a domain to DPI")
 	}
 	// The envelope parses as HTTP with the resolver-facing host, not the

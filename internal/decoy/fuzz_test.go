@@ -14,8 +14,8 @@ import (
 // one port no sniffer reads.
 var sniffPorts = [4]uint16{53, 80, 443, 8080}
 
-// fullSniff is what SniffDomain promises to compute, spelled out with the
-// full decoders: the first question name of a DNS query, the Host header
+// fullSniff is what an observer tap promises to compute, spelled out with
+// the full decoders: the first question name of a DNS query, the Host header
 // of an HTTP request, the SNI of a TLS ClientHello, canonicalized.
 func fullSniff(dstPort uint16, payload []byte) (string, Protocol, bool) {
 	switch dstPort {
@@ -42,10 +42,10 @@ func fullSniff(dstPort uint16, payload []byte) (string, Protocol, bool) {
 }
 
 // FuzzSniffAgree is the differential check on the observer-tap fast
-// paths: for any payload on any port, SniffDomain, an interning Sniffer
-// (on first sight and on a hit), and the full DNS, HTTP and TLS decoders
-// must extract the same domain and protocol, or all reject. A
-// disagreement would attribute a shadowed capture to the wrong decoy.
+// paths: for any payload on any port, PortProtocol plus ExtractDomain and
+// the full DNS, HTTP and TLS decoders must extract the same domain and
+// protocol, or both reject. A disagreement would attribute a shadowed
+// capture to the wrong decoy.
 //
 //	go test -run '^$' -fuzz FuzzSniffAgree -fuzztime 10s ./internal/decoy
 func FuzzSniffAgree(f *testing.F) {
@@ -82,19 +82,10 @@ func FuzzSniffAgree(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sel uint8, payload []byte) {
 		port := sniffPorts[sel%4]
 		want, wantProto, wantOK := fullSniff(port, payload)
-		check := func(how, got string, proto Protocol, ok bool) {
-			t.Helper()
-			if ok != wantOK || (ok && (got != want || proto != wantProto)) {
-				t.Fatalf("port %d: %s = (%q, %v, %v), full decoders = (%q, %v, %v)",
-					port, how, got, proto, ok, want, wantProto, wantOK)
-			}
+		got, proto, ok := sniff(port, payload)
+		if ok != wantOK || (ok && (got != want || proto != wantProto)) {
+			t.Fatalf("port %d: tap = (%q, %v, %v), full decoders = (%q, %v, %v)",
+				port, got, proto, ok, want, wantProto, wantOK)
 		}
-		got, proto, ok := SniffDomain(port, payload)
-		check("SniffDomain", got, proto, ok)
-		var s Sniffer
-		got, proto, ok = s.SniffDomain(port, payload)
-		check("Sniffer.SniffDomain (first sight)", got, proto, ok)
-		got, proto, ok = s.SniffDomain(port, payload)
-		check("Sniffer.SniffDomain (hit)", got, proto, ok)
 	})
 }

@@ -10,7 +10,6 @@ import (
 	"fmt"
 	"strings"
 
-	"shadowmeter/internal/identifier"
 	"shadowmeter/internal/wire"
 )
 
@@ -594,27 +593,13 @@ func decodeName(data []byte, off int) (string, int, int, error) {
 	}
 }
 
-// Interner is the subset of identifier.Interner the sniff fast path
-// needs; an interface here keeps the wire codec free of experiment types.
-type Interner interface {
-	Intern(s string) string
-	InternBytes(b []byte) string
-}
-
 // QueryNameFromBytes extracts the first question name of a wire-format DNS
 // query without materializing the whole message: the observer-tap fast
-// path, which runs on every packet crossing a tapped router. It returns
+// path, which runs on every DNS packet a tap could record. It returns
 // ok=false for responses, truncated messages, and anything the full decoder
 // would reject; messages with extra sections or compression pointers take
 // the slow path through Decode so the two agree on every input.
 func QueryNameFromBytes(data []byte) (string, bool) {
-	return QueryNameInterned(data, nil)
-}
-
-// QueryNameInterned is QueryNameFromBytes with the extracted name routed
-// through in (when non-nil), so repeated sightings of one experiment
-// domain cost no allocation.
-func QueryNameInterned(data []byte, in Interner) (string, bool) {
 	if len(data) < 12 {
 		return "", false
 	}
@@ -627,7 +612,7 @@ func QueryNameInterned(data []byte, in Interner) (string, bool) {
 		return "", false
 	}
 	if qd > 1 || data[6]|data[7]|data[8]|data[9]|data[10]|data[11] != 0 {
-		return queryNameSlow(data, in)
+		return queryNameSlow(data)
 	}
 	// Single question, no other sections: read the name in place.
 	var buf [253]byte
@@ -643,19 +628,9 @@ func QueryNameInterned(data []byte, in Interner) (string, bool) {
 			if off+5 > len(data) {
 				return "", false // QTYPE/QCLASS missing
 			}
-			// Devirtualize the common interner: a static call to the
-			// concrete InternBytes (whose parameter does not escape)
-			// keeps buf on the stack, where the interface call would
-			// force it to the heap on every packet sniffed.
-			if ci, ok := in.(*identifier.Interner); ok && ci != nil {
-				return ci.InternBytes(buf[:n]), true
-			}
-			if in != nil {
-				return in.Intern(string(buf[:n])), true
-			}
 			return string(buf[:n]), true
 		case b&0xC0 == 0xC0:
-			return queryNameSlow(data, in) // compressed name: full decoder
+			return queryNameSlow(data) // compressed name: full decoder
 		case b&0xC0 != 0:
 			return "", false
 		default:
@@ -677,7 +652,7 @@ func QueryNameInterned(data []byte, in Interner) (string, bool) {
 				if 'A' <= c && c <= 'Z' {
 					c += 'a' - 'A'
 				} else if c >= 0x80 {
-					return queryNameSlow(data, in) // non-ASCII case folding
+					return queryNameSlow(data) // non-ASCII case folding
 				} else if c == '.' {
 					return "", false // Decode rejects a dot inside a label
 				}
@@ -691,13 +666,10 @@ func QueryNameInterned(data []byte, in Interner) (string, bool) {
 
 // queryNameSlow is QueryNameFromBytes's fallback for message shapes the
 // in-place scanner does not handle.
-func queryNameSlow(data []byte, in Interner) (string, bool) {
+func queryNameSlow(data []byte) (string, bool) {
 	msg, err := Decode(data)
 	if err != nil || msg.Header.QR || len(msg.Questions) == 0 {
 		return "", false
-	}
-	if in != nil {
-		return in.Intern(msg.QName()), true
 	}
 	return msg.QName(), true
 }
@@ -706,7 +678,9 @@ func queryNameSlow(data []byte, in Interner) (string, bool) {
 // form used as map keys throughout the pipeline. A name already in that form
 // (the simulator's names almost always are) comes back without a copy.
 func Canonical(name string) string {
-	name = strings.TrimSuffix(name, ".")
+	if n := len(name); n > 0 && name[n-1] == '.' {
+		name = name[:n-1]
+	}
 	if isLowerASCII(name) {
 		return name
 	}

@@ -12,6 +12,15 @@
 //     paths in Table 2); internal/resolversim calls into an Exhibitor from
 //     its query handler.
 //
+// A Device sniffs only what it could record. It checks the destination
+// port's protocol against Watch, the destination against DstFilter and the
+// source's path against PathFraction before it parses the payload, so most
+// packets crossing a tapped router cost no parse and no allocation. The
+// one exception is a source that SetSourceClassifier marks as a
+// measurement client: ClientExtractions counts those on every path, so a
+// client packet is parsed even on an unsampled path (and still not
+// recorded).
+//
 // Exhibitors are ground truth: the measurement pipeline never reads their
 // state. Tests verify the pipeline *recovers* their placement and timing
 // from honeypot and traceroute evidence alone.
@@ -366,8 +375,8 @@ func (p *PathSampledExhibitor) ObserveQuery(n *netsim.Network, domain string, cl
 	p.Inner.ObserveDomain(n, domain)
 }
 
-// ObserveDomain implements the plain interface (no client known: sampled
-// as if from the zero address).
+// ObserveDomain implements the plain interface. No client is known, so
+// every domain goes to Inner without path sampling.
 func (p *PathSampledExhibitor) ObserveDomain(n *netsim.Network, domain string) {
 	p.Inner.ObserveDomain(n, domain)
 }
@@ -391,9 +400,6 @@ type Device struct {
 	*Exhibitor
 	router      *netsim.Router
 	classifySrc func(wire.Addr) bool
-	// sniff interns extracted domains: taps run on the world's single
-	// event-loop goroutine, so an unlocked per-device table is safe.
-	sniff decoy.Sniffer
 }
 
 // SetSourceClassifier marks which source addresses count as measurement
@@ -410,8 +416,16 @@ func NewDevice(p Profile, origins []Origin, seed int64, router *netsim.Router) *
 // Router returns the router the device taps.
 func (d *Device) Router() *netsim.Router { return d.router }
 
-// Observe implements netsim.Tap: extract a domain the way a DPI box would
-// and hand it to the behavior engine.
+// Observe implements netsim.Tap. It applies the profile's filters in order
+// of cost and parses the payload only for a packet the device could record:
+//
+//  1. the destination port names a decoy protocol (53 DNS, 80 HTTP, 443
+//     TLS) that Watch includes, and DstFilter includes the destination;
+//  2. PathFraction samples the source's path — unless the classifier marks
+//     the source as a measurement client, whose packets ClientExtractions
+//     counts on every path;
+//  3. the payload yields a domain (QNAME, Host or SNI), which a sampled
+//     path hands to the behavior engine.
 func (d *Device) Observe(n *netsim.Network, at *netsim.Router, pkt *wire.Packet) {
 	var dstPort uint16
 	var payload []byte
@@ -423,11 +437,8 @@ func (d *Device) Observe(n *netsim.Network, at *netsim.Router, pkt *wire.Packet)
 	default:
 		return
 	}
-	if len(payload) == 0 {
-		return
-	}
-	domain, proto, ok := d.sniff.SniffDomain(dstPort, payload)
-	if !ok {
+	proto, ok := decoy.PortProtocol(dstPort)
+	if !ok || len(payload) == 0 {
 		return
 	}
 	if d.Watch != nil && !d.Watch[proto] {
@@ -436,16 +447,25 @@ func (d *Device) Observe(n *netsim.Network, at *netsim.Router, pkt *wire.Packet)
 	if d.DstFilter != nil && !d.DstFilter[pkt.IP.Dst] {
 		return
 	}
-	if d.classifySrc != nil && d.classifySrc(pkt.IP.Src) {
+	sampled := true
+	if d.PathFraction > 0 && d.PathFraction < 1 {
+		ps := PathSampledExhibitor{Fraction: d.PathFraction, Salt: d.PathSalt}
+		sampled = ps.sampled(pkt.IP.Src)
+	}
+	client := d.classifySrc != nil && d.classifySrc(pkt.IP.Src)
+	if !sampled && !client {
+		return
+	}
+	domain, ok := decoy.ExtractDomain(proto, payload)
+	if !ok {
+		return
+	}
+	if client {
 		d.mu.Lock()
 		d.stats.ClientExtractions++
 		d.mu.Unlock()
 	}
-	if d.PathFraction > 0 && d.PathFraction < 1 {
-		ps := PathSampledExhibitor{Fraction: d.PathFraction, Salt: d.PathSalt}
-		if !ps.sampled(pkt.IP.Src) {
-			return
-		}
+	if sampled {
+		d.ObserveDomain(n, domain)
 	}
-	d.ObserveDomain(n, domain)
 }

@@ -61,10 +61,14 @@ func NewClientHello(serverName string, random [32]byte) *ClientHello {
 	}
 }
 
-// Encode serializes the ClientHello wrapped in a TLS record.
+// Encode serializes the ClientHello wrapped in a TLS record. It refuses a
+// hello whose session ID or record would overflow its length field.
 func (ch *ClientHello) Encode() ([]byte, error) {
 	if len(ch.ServerName) > 0xFFFF-5 {
 		return nil, fmt.Errorf("tlswire: server name too long: %d", len(ch.ServerName))
+	}
+	if len(ch.SessionID) > 0xFF {
+		return nil, fmt.Errorf("tlswire: session ID too long: %d", len(ch.SessionID))
 	}
 	body := make([]byte, 0, 128+len(ch.ServerName))
 	body = appendU16(body, ch.Version)
@@ -108,6 +112,10 @@ func (ch *ClientHello) Encode() ([]byte, error) {
 	hs[0] = HandshakeClient
 	putU24(hs[1:4], len(body))
 	hs = append(hs, body...)
+	// Every inner length field counts bytes of hs, so this bounds them all.
+	if len(hs) > 0xFFFF {
+		return nil, fmt.Errorf("tlswire: record too long: %d", len(hs))
+	}
 
 	// Record layer.
 	rec := make([]byte, 5, 5+len(hs))

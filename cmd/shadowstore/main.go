@@ -32,6 +32,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	fs2 "io/fs" // fs is the conventional FlagSet name in this file
 	"log"
 	"os"
@@ -286,22 +287,20 @@ func cmdTail(args []string) error {
 	fmt.Printf("%5s %8s %12s %10s %12s %10s %8s\n",
 		"trial", "seed", "sent_decoys", "captures", "unsolicited", "observers", "events")
 
+	follower := logFollower{path: runstore.LogPath(dir)}
 	printed := 0
 	for {
-		data, err := os.ReadFile(runstore.LogPath(dir))
-		if err != nil && !errors.Is(err, fs2.ErrNotExist) {
+		recs, err := follower.poll()
+		if err != nil {
 			return fmt.Errorf("tail: reading trial log: %w", err)
 		}
-		recs, _ := runstore.DecodeRecords(data)
-		// Valid frames are append-only (repair only ever removes the torn,
-		// never-decoded tail), so everything past `printed` is new.
-		for _, rec := range recs[min(printed, len(recs)):] {
+		for _, rec := range recs {
 			fmt.Printf("%5d %8d %12.0f %10.0f %12.0f %10.0f %8d\n",
 				rec.Trial, rec.Seed,
 				rec.Headline["sent_decoys"], rec.Headline["captures"],
 				rec.Headline["unsolicited"], rec.Headline["observer_addrs"], len(rec.Events))
 		}
-		printed = max(printed, len(recs))
+		printed += len(recs)
 		if printed >= man.Trials {
 			fmt.Printf("\ncampaign complete: %d/%d trials stored\n", printed, man.Trials)
 			return nil
@@ -312,6 +311,42 @@ func cmdTail(args []string) error {
 		}
 		time.Sleep(*interval)
 	}
+}
+
+// logFollower reads a live trial log incrementally. Valid frames are
+// append-only (repair only ever removes the torn, never-decoded tail), so
+// the bytes before off are final and each poll reads only what lies past
+// them: following a campaign costs O(log) in total, not O(log) per poll.
+type logFollower struct {
+	path string
+	off  int64 // end of the last frame decoded
+}
+
+// poll returns the records completed since the previous poll. A torn or
+// half-appended frame at the tail is not consumed: it decodes on a later
+// poll, once its writer has finished it. A log not created yet holds no
+// records.
+func (f *logFollower) poll() ([]runstore.TrialRecord, error) {
+	file, err := os.Open(f.path)
+	if errors.Is(err, fs2.ErrNotExist) {
+		return nil, nil
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer file.Close()
+	fi, err := file.Stat()
+	if err != nil || fi.Size() <= f.off {
+		return nil, err
+	}
+	buf := make([]byte, fi.Size()-f.off)
+	n, err := file.ReadAt(buf, f.off)
+	if err != nil && !errors.Is(err, io.EOF) {
+		return nil, err
+	}
+	recs, valid := runstore.DecodeRecords(buf[:n])
+	f.off += valid
+	return recs, nil
 }
 
 // means folds headline rows into one value per headline key. Rows come

@@ -770,7 +770,8 @@ func scanRecords(data []byte) (recs []TrialRecord, offs []int64, valid int64) {
 // record and the frame's total length. ok is false when data does not
 // begin with a complete, well-formed frame — a corrupt length field
 // (negative on 32-bit ints, or absurdly large) is rejected by bound
-// before it can size an allocation or a slice expression.
+// before it can size an allocation or a slice expression. The payload
+// goes through decodeRecord, the one record decoder (decode.go).
 func decodeFrame(data []byte) (rec TrialRecord, frameLen int, ok bool) {
 	if len(data) < headerSize {
 		return rec, 0, false
@@ -791,7 +792,8 @@ func decodeFrame(data []byte) (rec TrialRecord, frameLen int, ok bool) {
 	if crc32.ChecksumIEEE(payload) != sum {
 		return rec, 0, false
 	}
-	if err := json.Unmarshal(payload, &rec); err != nil {
+	rec, err := decodeRecord(payload)
+	if err != nil {
 		return rec, 0, false
 	}
 	return rec, headerSize + n, true

@@ -244,6 +244,12 @@ func decodeHeadlines(data []byte) (int64, map[int]HeadlineRow, error) {
 		}
 		body = body[8*n:]
 	}
+	// Each key costs at least its length prefix, bitmap and value column:
+	// bound k by the bytes left before it sizes the key table.
+	bitmapLen := (n + 7) / 8
+	if k > len(body)/(2+bitmapLen+8*n) {
+		return 0, nil, fmt.Errorf("%d keys cannot fit in %d bytes", k, len(body))
+	}
 	keys := make([]string, k)
 	for i := range keys {
 		if len(body) < 2 {
@@ -256,7 +262,6 @@ func decodeHeadlines(data []byte) (int64, map[int]HeadlineRow, error) {
 		keys[i] = string(body[2 : 2+l])
 		body = body[2+l:]
 	}
-	bitmapLen := (n + 7) / 8
 	for _, key := range keys {
 		if len(body) < bitmapLen+8*n {
 			return 0, nil, errors.New("truncated value columns")

@@ -3,8 +3,12 @@ package runstore
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -249,4 +253,107 @@ func TestIndexedReadsAreO1(t *testing.T) {
 	if stats.BytesRead*4 >= fi.Size() {
 		t.Errorf("indexed open+Get read %d bytes of a %d-byte log — not O(record)", stats.BytesRead, fi.Size())
 	}
+}
+
+// sidecarOf wraps a sidecar body in its header and a valid trailing CRC.
+func sidecarOf(magic, version uint32, body []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, magic)
+	b = binary.BigEndian.AppendUint32(b, version)
+	b = append(b, body...)
+	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// hugeKeyCountBody is a headline-file body declaring no rows and 2^26
+// keys, with nothing behind the count.
+func hugeKeyCountBody() []byte {
+	body := binary.BigEndian.AppendUint64(nil, 0)
+	body = binary.BigEndian.AppendUint32(body, 0)
+	return binary.BigEndian.AppendUint32(body, maxSidecarEntries)
+}
+
+// TestDecodeHeadlinesHugeKeyCount: a 28-byte headlines.col whose key
+// count claims 2^26 keys must be refused before the count sizes a key
+// table (which would take 1 GiB).
+func TestDecodeHeadlinesHugeKeyCount(t *testing.T) {
+	data := sidecarOf(colMagic, colVersion, hugeKeyCountBody())
+	if len(data) != 28 {
+		t.Fatalf("sidecar is %d bytes, want 28", len(data))
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, _, err := decodeHeadlines(data)
+	runtime.ReadMemStats(&after)
+	if err == nil || !strings.Contains(err.Error(), "cannot fit") {
+		t.Fatalf("decodeHeadlines error = %v, want a key count that cannot fit", err)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64<<10 {
+		t.Fatalf("refusing the key count allocated %d bytes", alloc)
+	}
+}
+
+// sameRows compares headline rows, headline values by their bits (the
+// fuzzer writes NaNs).
+func sameRows(a, b map[int]HeadlineRow) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for t, ra := range a {
+		rb, ok := b[t]
+		if !ok || len(ra.Headline) != len(rb.Headline) {
+			return false
+		}
+		ha, hb := ra.Headline, rb.Headline
+		ra.Headline, rb.Headline = nil, nil
+		if !reflect.DeepEqual(ra, rb) {
+			return false
+		}
+		for k, v := range ha {
+			w, ok := hb[k]
+			if !ok || math.Float64bits(v) != math.Float64bits(w) {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// FuzzDecodeSidecars feeds arbitrary bodies to the index.bin (headlines
+// false) and headlines.col decoders behind a valid header and CRC, so
+// the fuzzer reaches the body: no panic, and whatever decodes must
+// re-encode and decode to the same index or rows. A crasher lands in
+// testdata/fuzz/FuzzDecodeSidecars and belongs in the commit.
+func FuzzDecodeSidecars(f *testing.F) {
+	frames := map[int]FrameRef{0: {Off: 0, Len: 300}, 1: {Off: 300, Len: 280}, 7: {Off: 580, Len: 9000}}
+	rows := map[int]HeadlineRow{}
+	for _, t := range []int{0, 1, 7} {
+		rows[t] = rowFrom(testRecord(t))
+	}
+	delete(rows[1].Headline, "captures")
+	body := func(sidecar []byte) []byte { return sidecar[8 : len(sidecar)-4] }
+	f.Add(false, body(encodeIndex(9580, frames)))
+	f.Add(false, body(encodeIndex(0, nil)))
+	f.Add(true, body(encodeHeadlines(9580, rows)))
+	f.Add(true, body(encodeHeadlines(0, nil)))
+	f.Add(true, hugeKeyCountBody())
+	f.Fuzz(func(t *testing.T, headlines bool, body []byte) {
+		if !headlines {
+			size, frames, err := decodeIndex(sidecarOf(indexMagic, indexVersion, body))
+			if err != nil {
+				return
+			}
+			size2, frames2, err := decodeIndex(encodeIndex(size, frames))
+			if err != nil || size2 != size || !reflect.DeepEqual(frames2, frames) {
+				t.Fatalf("index round trip: size %d -> %d, err %v, frames %v -> %v", size, size2, err, frames, frames2)
+			}
+			return
+		}
+		size, rows, err := decodeHeadlines(sidecarOf(colMagic, colVersion, body))
+		if err != nil {
+			return
+		}
+		size2, rows2, err := decodeHeadlines(encodeHeadlines(size, rows))
+		if err != nil || size2 != size || !sameRows(rows2, rows) {
+			t.Fatalf("headline round trip: size %d -> %d, err %v, rows %v -> %v", size, size2, err, rows, rows2)
+		}
+	})
 }

@@ -88,6 +88,22 @@ echo "== identifier round-trip fuzz smoke"
 # and the honeypot pre-filter key on these labels.
 go test -run '^$' -fuzz '^FuzzIdentifierRoundTrip$' -fuzztime 10s ./internal/identifier
 
+echo "== runstore frame decoder differential fuzz smoke"
+# Every store read (resume, show, retention, tail, compact, merge) decodes
+# frames with the schema-specific record decoder: it must accept exactly
+# what json.Unmarshal accepts and return the same TrialRecord, refusing
+# only objects that name a field twice. One seed is a real 137 KB record,
+# and minimizing each input it grows would eat the whole smoke, so
+# minimization is capped. A crasher lands in
+# internal/runstore/testdata/fuzz/ and belongs in the commit.
+go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s -fuzzminimizetime 200x ./internal/runstore
+
+echo "== runstore sidecar decode fuzz smoke"
+# index.bin and headlines.col are read on every open: any body behind a
+# valid header and CRC must decode without panic or an allocation its
+# size cannot back, and what decodes must survive encode -> decode.
+go test -run '^$' -fuzz '^FuzzDecodeSidecars$' -fuzztime 10s ./internal/runstore
+
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce
 # byte-identical exports across separate processes. A diff here usually
@@ -378,6 +394,20 @@ allocs=$(go test -run '^$' -bench BenchmarkObserveFiltered -benchmem ./internal/
 echo "BenchmarkObserveFiltered: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "filtered-packet allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+
+echo "== runstore record-decode allocation gate"
+# A 20,000-event frame decodes into an exactly sized events slice, one
+# string holding every label, and interned protocol and destination
+# names: about 135 allocations, where json.Unmarshal makes about 88,000.
+# The ceiling leaves about 5% headroom; per-event allocations would
+# add thousands.
+allocs=$(go test -run '^$' -bench BenchmarkDecodeFrame -benchmem ./internal/runstore |
+    awk '/BenchmarkDecodeFrame/ {print $(NF-1)}')
+echo "BenchmarkDecodeFrame: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 145 ]; then
+    echo "record-decode allocations regressed: $allocs allocs/op (gate: 145)" >&2
     exit 1
 fi
 

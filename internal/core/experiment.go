@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"runtime/pprof"
 	"sort"
 	"time"
@@ -241,6 +240,36 @@ func (e *Experiment) classifyNew() []correlate.Unsolicited {
 	return e.Correlator.ClassifyChunks(fresh)
 }
 
+// sweepJob is one Phase II traceroute: a problematic VP→destination path
+// and the decoy protocol that leaked on it.
+type sweepJob struct {
+	key   correlate.PathKey
+	proto decoy.Protocol
+	name  string
+}
+
+// sweepJobs lists one job per distinct (path, protocol) among the Phase I
+// unsolicited events, named after the destination of the first event in
+// log order that names it. Job order is unspecified; runPhaseII sorts.
+func sweepJobs(events []correlate.Unsolicited) []sweepJob {
+	type jobKey struct {
+		path  correlate.PathKey
+		proto decoy.Protocol
+	}
+	var jobs []sweepJob
+	seen := make(map[jobKey]struct{})
+	for i := range events {
+		sent := events[i].Sent
+		k := jobKey{correlate.PathKey{VP: sent.VP, Dst: sent.Dst.Addr}, sent.Protocol}
+		if _, dup := seen[k]; dup {
+			continue
+		}
+		seen[k] = struct{}{}
+		jobs = append(jobs, sweepJob{key: k.path, proto: k.proto, name: sent.DstName})
+	}
+	return jobs
+}
+
 // RunPhaseII traceroutes every problematic path found in Phase I (capped
 // per protocol), drains the network, classifies the new captures, and
 // locates observers by joining sweep probes with leak evidence.
@@ -250,31 +279,12 @@ func (e *Experiment) RunPhaseII() {
 
 func (e *Experiment) runPhaseII() {
 	w := e.World
-	paths := correlate.PathsWithUnsolicited(e.EventsPhaseI)
-
-	// Deterministic path ordering.
-	type job struct {
-		key   correlate.PathKey
-		proto decoy.Protocol
-		name  string
-	}
-	var jobs []job
-	seen := make(map[string]bool)
-	for key, events := range paths {
-		for _, u := range events {
-			id := fmt.Sprintf("%v|%v|%d", key.VP, key.Dst, u.Sent.Protocol)
-			if seen[id] {
-				continue
-			}
-			seen[id] = true
-			jobs = append(jobs, job{key: key, proto: u.Sent.Protocol, name: u.Sent.DstName})
-		}
-	}
+	jobs := sweepJobs(e.EventsPhaseI)
 	// Deterministic shuffle: when the per-protocol cap truncates the job
 	// list, the kept subset must sample paths evenly (ordering by VP
 	// address would drop every VP allocated late — e.g. the whole CN
 	// fleet).
-	jobHash := func(j job) uint64 {
+	jobHash := func(j sweepJob) uint64 {
 		h := uint64(j.key.VP.Uint32())*0x9E3779B97F4A7C15 ^ uint64(j.key.Dst.Uint32())*0xC2B2AE3D27D4EB4F ^ uint64(j.proto)
 		h ^= h >> 29
 		h *= 0xBF58476D1CE4E5B9

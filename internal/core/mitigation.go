@@ -177,7 +177,11 @@ func runMitigationMode(seed int64, mode MitigationMode) MitigationResult {
 	}
 	events := corr.Classify(w.Honeypots.Log.Snapshot())
 	res.UnsolicitedEvents = len(events)
-	res.ProblematicPaths = len(correlate.PathsWithUnsolicited(events))
+	paths := make(map[correlate.PathKey]struct{})
+	for _, u := range events {
+		paths[correlate.PathKey{VP: u.Sent.VP, Dst: u.Sent.Dst.Addr}] = struct{}{}
+	}
+	res.ProblematicPaths = len(paths)
 	for _, svc := range w.resolverServices {
 		if resolversim.IsResolverH(svc.Name) {
 			res.DistinctClientsSeen += svc.DistinctClients()

@@ -319,17 +319,6 @@ func combination(sent, req decoy.Protocol) string {
 	return fmt.Sprintf("%s-%s", sent, name)
 }
 
-// PathsWithUnsolicited groups unsolicited requests by the originating
-// client-server path — the unit Figure 3 counts.
-func PathsWithUnsolicited(events []Unsolicited) map[PathKey][]Unsolicited {
-	out := make(map[PathKey][]Unsolicited)
-	for _, u := range events {
-		k := PathKey{VP: u.Sent.VP, Dst: u.Sent.Dst.Addr}
-		out[k] = append(out[k], u)
-	}
-	return out
-}
-
 // LeakedLabels extracts the set of decoy labels that triggered unsolicited
 // requests — the evidence traceroute.Analyze consumes.
 func LeakedLabels(events []Unsolicited) map[string]bool {

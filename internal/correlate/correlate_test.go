@@ -182,28 +182,6 @@ func TestIncrementalClassification(t *testing.T) {
 	}
 }
 
-func TestPathsWithUnsolicited(t *testing.T) {
-	c := New(codec)
-	s1 := mkSent(t, decoy.DNS, 9)
-	s2 := mkSent(t, decoy.DNS, 10)
-	s2.VP = wire.MustParseAddr("100.64.0.2")
-	c.AddSent(s1)
-	c.AddSent(s2)
-	events := c.Classify([]honeypot.Capture{
-		capture(s1, decoy.HTTP, epoch.Add(time.Hour)),
-		capture(s2, decoy.HTTP, epoch.Add(time.Hour)),
-		capture(s1, decoy.TLS, epoch.Add(2*time.Hour)),
-	})
-	paths := PathsWithUnsolicited(events)
-	if len(paths) != 2 {
-		t.Fatalf("paths = %d", len(paths))
-	}
-	k1 := PathKey{VP: s1.VP, Dst: s1.Dst.Addr}
-	if len(paths[k1]) != 2 {
-		t.Errorf("path1 events = %d", len(paths[k1]))
-	}
-}
-
 func TestLeakedLabelsAndPerDecoyCounts(t *testing.T) {
 	c := New(codec)
 	s := mkSent(t, decoy.DNS, 11)

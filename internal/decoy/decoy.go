@@ -91,8 +91,37 @@ func (g *Generator) Zone() string { return g.zone }
 func (g *Generator) Codec() *identifier.Codec { return g.codec }
 
 // Generate builds one decoy for proto from vp to dst with the given initial
-// TTL at virtual time now.
+// TTL at virtual time now. Its payload is encoded once, into a buffer of
+// exactly its size that the decoy owns: SendTCPRequest holds it across the
+// handshake.
 func (g *Generator) Generate(proto Protocol, now time.Time, vp wire.Addr, dst wire.Endpoint, ttl uint8) (*Decoy, error) {
+	d, err := g.identify(proto, now, vp, dst, ttl)
+	if err != nil {
+		return nil, err
+	}
+	switch proto {
+	case DNS:
+		d.DNSQueryID = d.ID.Nonce ^ uint16(d.ID.Time.Unix())
+		d.Payload, err = dnswire.EncodeQuery(d.DNSQueryID, d.Domain, dnswire.TypeA)
+		if err != nil {
+			return nil, fmt.Errorf("decoy: encode DNS: %w", err)
+		}
+	case HTTP:
+		d.Payload = httpwire.EncodeGET(d.Domain, "/")
+	case TLS:
+		d.Payload, err = tlswire.EncodeClientHello(d.Domain, clientRandom(d.ID))
+		if err != nil {
+			return nil, fmt.Errorf("decoy: encode TLS: %w", err)
+		}
+	default:
+		return nil, fmt.Errorf("decoy: unknown protocol %v", proto)
+	}
+	return d, nil
+}
+
+// identify draws the next nonce and builds a decoy's identity (ID, label
+// and domain) with no payload yet.
+func (g *Generator) identify(proto Protocol, now time.Time, vp wire.Addr, dst wire.Endpoint, ttl uint8) (*Decoy, error) {
 	g.mu.Lock()
 	g.nonce++
 	nonce := g.nonce
@@ -108,30 +137,10 @@ func (g *Generator) Generate(proto Protocol, now time.Time, vp wire.Addr, dst wi
 	n := len(buf)
 	buf = append(append(buf, ".www."...), g.zone...)
 	domain := string(buf)
-	d := &Decoy{
+	return &Decoy{
 		Protocol: proto, ID: id, Label: domain[:n], Domain: domain,
 		VP: vp, Dst: dst,
-	}
-	switch proto {
-	case DNS:
-		d.DNSQueryID = nonce ^ uint16(id.Time.Unix())
-		q := dnswire.NewQuery(d.DNSQueryID, domain, dnswire.TypeA)
-		d.Payload, err = q.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("decoy: encode DNS: %w", err)
-		}
-	case HTTP:
-		d.Payload = httpwire.NewGET(domain, "/").Encode()
-	case TLS:
-		ch := tlswire.NewClientHello(domain, clientRandom(id))
-		d.Payload, err = ch.Encode()
-		if err != nil {
-			return nil, fmt.Errorf("decoy: encode TLS: %w", err)
-		}
-	default:
-		return nil, fmt.Errorf("decoy: unknown protocol %v", proto)
-	}
-	return d, nil
+	}, nil
 }
 
 // GenerateECH builds a TLS decoy whose server name travels only inside the
@@ -139,12 +148,11 @@ func (g *Generator) Generate(proto Protocol, now time.Time, vp wire.Addr, dst wi
 // sniff, while the terminating server still sees the domain. Part of the
 // mitigation study motivated by the paper's Discussion.
 func (g *Generator) GenerateECH(now time.Time, vp wire.Addr, dst wire.Endpoint, ttl uint8) (*Decoy, error) {
-	d, err := g.Generate(TLS, now, vp, dst, ttl)
+	d, err := g.identify(TLS, now, vp, dst, ttl)
 	if err != nil {
 		return nil, err
 	}
-	ch := tlswire.NewClientHelloECH(d.Domain, clientRandom(d.ID))
-	d.Payload, err = ch.Encode()
+	d.Payload, err = tlswire.EncodeClientHelloECH(d.Domain, clientRandom(d.ID))
 	if err != nil {
 		return nil, err
 	}

@@ -1,12 +1,14 @@
 package decoy
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 	"time"
 
 	"shadowmeter/internal/dnswire"
 	"shadowmeter/internal/httpwire"
+	"shadowmeter/internal/tlswire"
 	"shadowmeter/internal/wire"
 )
 
@@ -220,12 +222,60 @@ func TestProtocolString(t *testing.T) {
 	}
 }
 
-func BenchmarkGenerateDNS(b *testing.B) {
+// BenchmarkGenerate builds one decoy per protocol. Each costs three
+// allocations: the Decoy, its domain string and its exactly sized payload.
+func BenchmarkGenerate(b *testing.B) {
+	for _, p := range Protocols {
+		b.Run(p.String(), func(b *testing.B) {
+			g := gen()
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := g.Generate(p, epoch.Add(time.Duration(i)), vp, dst, 64); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// TestGeneratePayloadsMatchMessageEncoders holds every decoy payload to the
+// message-based encoders the exactly sized ones replace: a DNS query built
+// with NewQuery, a GET with NewGET, a ClientHello with NewClientHello, and
+// the ECH hello with NewClientHelloECH.
+func TestGeneratePayloadsMatchMessageEncoders(t *testing.T) {
 	g := gen()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		if _, err := g.Generate(DNS, epoch.Add(time.Duration(i)), vp, dst, 64); err != nil {
-			b.Fatal(err)
+	for i := 0; i < 300; i++ {
+		p := Protocols[i%len(Protocols)]
+		at := epoch.Add(time.Duration(i) * 7919 * time.Second)
+		to := wire.Endpoint{Addr: wire.AddrFrom(203, 0, byte(i), byte(i*7)), Port: 443}
+		d, err := g.Generate(p, at, vp, to, uint8(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []byte
+		switch p {
+		case DNS:
+			want, err = dnswire.NewQuery(d.DNSQueryID, d.Domain, dnswire.TypeA).Encode()
+		case HTTP:
+			want = httpwire.NewGET(d.Domain, "/").Encode()
+		case TLS:
+			want, err = tlswire.NewClientHello(d.Domain, clientRandom(d.ID)).Encode()
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(d.Payload, want) || len(d.Payload) != cap(d.Payload) {
+			t.Fatalf("%v decoy %d payload %x (cap %d), want %x", p, i, d.Payload, cap(d.Payload), want)
+		}
+		e, err := g.GenerateECH(at, vp, to, uint8(i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want, err = tlswire.NewClientHelloECH(e.Domain, clientRandom(e.ID)).Encode(); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(e.Payload, want) {
+			t.Fatalf("ECH decoy %d payload %x, want %x", i, e.Payload, want)
 		}
 	}
 }

@@ -101,6 +101,53 @@ func NewQuery(id uint16, name string, qtype uint16) *Message {
 	}
 }
 
+// EncodeQuery returns the bytes NewQuery(id, name, qtype).Encode() does, in
+// one exactly sized buffer the caller owns: the encoder for decoys, whose
+// payload outlives the call. A lone question has nothing to compress, so
+// the name is written label by label with no compression table.
+func EncodeQuery(id uint16, name string, qtype uint16) ([]byte, error) {
+	// Header, the longest name Encoder.name accepts (253 octets plus two)
+	// and QTYPE/QCLASS fit in this stack buffer.
+	var tmp [12 + 255 + 4]byte
+	b := append(tmp[:0], byte(id>>8), byte(id), 1, 0, 0, 1, 0, 0, 0, 0, 0, 0) // RD, QDCOUNT 1
+	b, err := appendName(b, name)
+	if err != nil {
+		return nil, err
+	}
+	b = append(b, byte(qtype>>8), byte(qtype), byte(ClassIN>>8), byte(ClassIN))
+	return append(make([]byte, 0, len(b)), b...), nil
+}
+
+// appendName writes n uncompressed, validating it exactly as Encoder.name
+// does the first name of a message.
+func appendName(b []byte, n string) ([]byte, error) {
+	n = Canonical(n)
+	if n == "." || n == "" {
+		return append(b, 0), nil
+	}
+	if len(n) > 253 {
+		return nil, ErrNameTooLong
+	}
+	for rest := n; rest != ""; {
+		i := strings.IndexByte(rest, '.')
+		var label string
+		if i < 0 {
+			label, rest = rest, ""
+		} else {
+			label, rest = rest[:i], rest[i+1:]
+		}
+		if label == "" {
+			return nil, ErrBadName
+		}
+		if len(label) > 63 {
+			return nil, ErrLabelTooLong
+		}
+		b = append(b, byte(len(label)))
+		b = append(b, label...)
+	}
+	return append(b, 0), nil
+}
+
 // QueryInto is NewQuery for senders that own a scratch Message: m is
 // overwritten in place with its Questions array reused. Safe whenever the
 // message is fully serialized before the scratch's next use.

@@ -214,3 +214,28 @@ func TestCanonicalAllocsZero(t *testing.T) {
 		t.Errorf("Canonical(%q) = %q", name, got)
 	}
 }
+
+// FuzzEncodeQuery holds the exactly sized query encoder decoys use to the
+// Message-based encoder it replaces: the same bytes or the same error for
+// any ID, name and type, names the encoder refuses included.
+func FuzzEncodeQuery(f *testing.F) {
+	f.Add(uint16(0xABCD), "g6d8jjkut5obc4-9982.www.experiment.domain", TypeA)
+	f.Add(uint16(1), "MiXeD.Example.COM.", TypeAAAA)
+	f.Add(uint16(2), "", TypeANY)
+	f.Add(uint16(3), ".", TypeNS)
+	f.Add(uint16(4), "a..b", TypeA)
+	f.Add(uint16(5), "a..", TypeA)
+	f.Add(uint16(6), strings.Repeat("x", 64)+".example", TypeA)
+	f.Add(uint16(7), strings.Repeat("abcdefghi.", 26), TypeA)
+	f.Add(uint16(8), "\xc3\x89cole.example", TypeTXT)
+	f.Fuzz(func(t *testing.T, id uint16, name string, qtype uint16) {
+		got, gotErr := EncodeQuery(id, name, qtype)
+		want, wantErr := NewQuery(id, name, qtype).Encode()
+		if gotErr != wantErr || !bytes.Equal(got, want) {
+			t.Fatalf("EncodeQuery(%#x, %q, %d) = %x, %v; want %x, %v", id, name, qtype, got, gotErr, want, wantErr)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("EncodeQuery(%q): len %d, cap %d; the buffer should be exact", name, len(got), cap(got))
+		}
+	})
+}

@@ -10,7 +10,6 @@
 package honeypot
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -169,11 +168,17 @@ type Deployment struct {
 	dec dnswire.Message
 	//shadowlint:eventloop
 	resp dnswire.Message
+	// req is HTTP parse scratch under the same contract: the strings a
+	// Capture keeps are fresh copies or shared constants, and the header
+	// map is cleared by the next parse.
+	//
+	//shadowlint:eventloop
+	req httpwire.Request
 
-	// notFound and homepageResp are the static HTTP replies, encoded once
-	// at deploy time; the host copies a reply into its packet, so every
-	// request can share them.
-	notFound, homepageResp []byte
+	// notFound, homepageResp and badRequest are the static HTTP replies,
+	// encoded once at deploy time; the host copies a reply into its packet,
+	// so every request can share them.
+	notFound, homepageResp, badRequest []byte
 
 	m deploymentMetrics
 }
@@ -232,6 +237,7 @@ func Deploy(n *netsim.Network, cfg Config, sites []*Site, registry interface {
 
 		notFound:     httpwire.NewResponse(404, "not found").Encode(),
 		homepageResp: httpwire.NewResponse(200, HomepageHTML).Encode(),
+		badRequest:   httpwire.NewResponse(400, "bad request").Encode(),
 	}
 	for _, s := range sites {
 		d.webAddrs = append(d.webAddrs, s.WebAddr)
@@ -304,10 +310,10 @@ func (d *Deployment) handleDNS(n *netsim.Network, s *Site, from wire.Endpoint, p
 
 // handleHTTP serves the honey website and logs the request.
 func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, payload []byte) []byte {
-	req, err := httpwire.ParseRequest(payload)
-	if err != nil {
+	req := &d.req
+	if err := httpwire.ParseRequestInto(req, payload); err != nil {
 		d.countUnparseable()
-		return httpwire.NewResponse(400, "bad request").Encode()
+		return d.badRequest
 	}
 	host := dnswire.Canonical(req.Host())
 	d.Log.Append(Capture{
@@ -376,8 +382,10 @@ func firstIdentifierLabel(name string) string {
 	return ""
 }
 
+// requestHead renders the request line and Host for signature matching,
+// as one string concatenation (a single allocation).
 func requestHead(req *httpwire.Request) string {
-	return fmt.Sprintf("%s %s %s host=%s", req.Method, req.Path, req.Proto, req.Host())
+	return req.Method + " " + req.Path + " " + req.Proto + " host=" + req.Host()
 }
 
 func nameHash(s string) int {

@@ -58,8 +58,11 @@ func FuzzParseRequest(f *testing.F) {
 		f.Add(NewGET(host, "/").Encode())
 	}
 
+	// One Request reused across every input, as the servers reuse theirs.
+	var reused Request
 	f.Fuzz(func(t *testing.T, data []byte) {
 		req, err := ParseRequest(data)
+		checkParseInto(t, &reused, data, req, err)
 		if err != nil {
 			return
 		}
@@ -90,6 +93,47 @@ func FuzzParseRequest(f *testing.F) {
 		got.Body, want.Body = nil, nil
 		if !reflect.DeepEqual(*got, want) {
 			t.Fatalf("encode → parse changed the request %q:\n got %+v\nwant %+v", data, *got, want)
+		}
+	})
+}
+
+// checkParseInto holds ParseRequestInto, called on a Request that earlier
+// inputs already filled, to ParseRequest's verdict and fields on data.
+func checkParseInto(t *testing.T, into *Request, data []byte, want *Request, wantErr error) {
+	t.Helper()
+	err := ParseRequestInto(into, data)
+	if (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error() {
+		t.Fatalf("ParseRequestInto(%q) = %v, ParseRequest %v", data, err, wantErr)
+	}
+	if err != nil {
+		return
+	}
+	got := *into
+	if !bytes.Equal(got.Body, want.Body) || (got.Body == nil) != (want.Body == nil) {
+		t.Fatalf("ParseRequestInto(%q) body %q, ParseRequest %q", data, got.Body, want.Body)
+	}
+	w := *want
+	got.Body, w.Body = nil, nil
+	if !reflect.DeepEqual(got, w) {
+		t.Fatalf("ParseRequestInto(%q):\n got %+v\nwant %+v", data, got, w)
+	}
+}
+
+// FuzzEncodeGET holds the exactly sized GET encoder to the Request-based
+// one it replaces on the decoy and probe paths, for any host and path.
+func FuzzEncodeGET(f *testing.F) {
+	f.Add("abc123.www.experiment.domain", "/")
+	f.Add("MiXeD.Example", "/path?q=1")
+	f.Add("", "")
+	f.Add("h\r\nX-Injected: 1", "/ HTTP/1.0\r\n")
+	f.Add("\xff\xfe", "/admin")
+	f.Fuzz(func(t *testing.T, host, path string) {
+		got, want := EncodeGET(host, path), NewGET(host, path).Encode()
+		if !bytes.Equal(got, want) {
+			t.Fatalf("EncodeGET(%q, %q) = %q, want %q", host, path, got, want)
+		}
+		if len(got) != cap(got) {
+			t.Fatalf("EncodeGET(%q, %q): len %d, cap %d; the buffer should be exact", host, path, len(got), cap(got))
 		}
 	})
 }

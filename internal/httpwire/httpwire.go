@@ -56,6 +56,25 @@ func NewGET(host, path string) *Request {
 	}
 }
 
+// getTail is everything after the Host value in the bytes of every NewGET
+// request: its other three headers, sorted as Encode writes them.
+const getTail = "\r\nAccept: */*\r\nConnection: close\r\nUser-Agent: shadowmeter/1.0\r\n\r\n"
+
+// EncodeGET returns the bytes NewGET(host, path).Encode() does, built in
+// one exactly sized buffer with no Request or header map in between: the
+// encoder for decoys and probes, which send one GET each.
+func EncodeGET(host, path string) []byte {
+	if path == "" {
+		path = "/"
+	}
+	b := make([]byte, 0, len("GET ")+len(path)+len(" HTTP/1.1\r\nHost: ")+len(host)+len(getTail))
+	b = append(b, "GET "...)
+	b = append(b, path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, host...)
+	return append(b, getTail...)
+}
+
 // Host returns the Host header.
 func (r *Request) Host() string { return r.Headers["host"] }
 
@@ -180,9 +199,23 @@ func appendCanonicalHeader(b []byte, k string) []byte {
 // present; a Content-Length body may be shorter than declared, in which case
 // ErrIncomplete is returned.
 func ParseRequest(data []byte) (*Request, error) {
+	req := new(Request)
+	if err := ParseRequestInto(req, data); err != nil {
+		return nil, err
+	}
+	return req, nil
+}
+
+// ParseRequestInto is ParseRequest for servers that parse every request
+// into one reused Request: req is overwritten, and its header map is
+// cleared and refilled rather than reallocated. The strings it sets are
+// fresh copies or shared constants, so they stay valid after the next
+// parse; the map and Body (which aliases data, as in ParseRequest) do
+// not. On error req holds whatever was parsed before the failure.
+func ParseRequestInto(req *Request, data []byte) error {
 	head, body, err := splitHead(data)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	line, rest := cutLine(head)
 	sp1 := bytes.IndexByte(line, ' ')
@@ -191,19 +224,25 @@ func ParseRequest(data []byte) (*Request, error) {
 		sp2 = bytes.IndexByte(line[sp1+1:], ' ')
 	}
 	if sp1 < 0 || sp2 < 0 || !bytes.HasPrefix(line[sp1+1+sp2+1:], []byte("HTTP/")) {
-		return nil, fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
+		return fmt.Errorf("%w: bad request line %q", ErrMalformed, line)
 	}
-	req := &Request{
-		Method: string(line[:sp1]),
-		Path:   string(line[sp1+1 : sp1+1+sp2]),
-		Proto:  string(line[sp1+1+sp2+1:]),
+	headers := req.Headers
+	if headers == nil {
+		headers = make(map[string]string, bytes.Count(rest, []byte("\r\n"))+1)
+	} else {
+		clear(headers)
 	}
-	req.Headers, err = parseHeaders(rest)
-	if err != nil {
-		return nil, err
+	*req = Request{
+		Method:  atomString(line[:sp1], methodAtoms[:]),
+		Path:    atomString(line[sp1+1:sp1+1+sp2], pathAtoms[:]),
+		Proto:   atomString(line[sp1+1+sp2+1:], protoAtoms[:]),
+		Headers: headers,
 	}
-	req.Body, err = takeBody(req.Headers, body)
-	return req, err
+	if err := parseHeadersInto(headers, rest); err != nil {
+		return err
+	}
+	req.Body, err = takeBody(headers, body)
+	return err
 }
 
 // ParseResponse parses a serialized response.
@@ -257,6 +296,14 @@ func cutLine(head []byte) (line, rest []byte) {
 
 func parseHeaders(head []byte) (map[string]string, error) {
 	h := make(map[string]string, bytes.Count(head, []byte("\r\n"))+1)
+	if err := parseHeadersInto(h, head); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+// parseHeadersInto adds the header lines of head to h.
+func parseHeadersInto(h map[string]string, head []byte) error {
 	for len(head) > 0 {
 		var line []byte
 		line, head = cutLine(head)
@@ -267,17 +314,11 @@ func parseHeaders(head []byte) (map[string]string, error) {
 		// is all whitespace would re-encode as a line with no name.
 		name, val, ok := bytes.Cut(line, []byte(":"))
 		if name = bytes.TrimSpace(name); !ok || len(name) == 0 {
-			return nil, fmt.Errorf("%w: bad header line %q", ErrMalformed, line)
+			return fmt.Errorf("%w: bad header line %q", ErrMalformed, line)
 		}
-		key := lowerString(name)
-		val = bytes.TrimSpace(val)
-		if s, ok := valueAtom(val); ok {
-			h[key] = s
-		} else {
-			h[key] = string(val)
-		}
+		h[lowerString(name)] = atomString(bytes.TrimSpace(val), valueAtoms[:])
 	}
-	return h, nil
+	return nil
 }
 
 // headerAtoms and valueAtoms form a static table (the idea behind HPACK's)
@@ -295,6 +336,14 @@ var valueAtoms = [...]string{
 	"text/html; charset=utf-8",
 }
 
+// methodAtoms, pathAtoms and protoAtoms do the same for the request lines
+// of decoys, probes and DoH/ODoH envelopes.
+var (
+	methodAtoms = [...]string{"GET", "POST"}
+	pathAtoms   = [...]string{"/", "/dns-query", "/odoh"}
+	protoAtoms  = [...]string{"HTTP/1.1"}
+)
+
 // headerAtom case-insensitively matches a raw key against the static
 // table, returning its canonical lowercase instance.
 func headerAtom(b []byte) (string, bool) {
@@ -306,14 +355,15 @@ func headerAtom(b []byte) (string, bool) {
 	return "", false
 }
 
-// valueAtom matches a raw value (exact bytes) against the static table.
-func valueAtom(b []byte) (string, bool) {
-	for _, s := range &valueAtoms {
+// atomString returns b as a string: the matching (exact bytes) instance of
+// atoms when there is one, else a fresh copy.
+func atomString(b []byte, atoms []string) string {
+	for _, s := range atoms {
 		if string(b) == s {
-			return s, true
+			return s
 		}
 	}
-	return "", false
+	return string(b)
 }
 
 // lowerString converts b to a lowercase string: through the static atom

@@ -28,6 +28,11 @@ type Host struct {
 	// waiter that a queued event still refers to under its current
 	// generation.
 	freeWaiters []*udpWaiter
+	// freeFlows recycles clientFlow structs. Unlike a waiter, a flow
+	// returns to the pool as soon as its request ends (response, reset or
+	// timeout); the timeout event armed for it may still be queued, and its
+	// generation check makes it a no-op once the struct is reused.
+	freeFlows []*clientFlow
 
 	// OnUnmatched, if set, sees packets no service or client flow claimed.
 	OnUnmatched func(n *Network, pkt *wire.Packet)
@@ -225,7 +230,7 @@ func (h *Host) SendUDPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 		n.InjectOwned(raw)
 	}
 	e := n.newEvent()
-	e.udpHost, e.udpW, e.udpGen = h, w, w.gen
+	e.host, e.udpW, e.gen = h, w, w.gen
 	n.scheduleEvent(timeout, e)
 	return sport
 }
@@ -260,6 +265,9 @@ type tcpFlowKey struct {
 	local  uint16
 }
 
+// clientFlow is one outstanding SendTCPRequest, pooled per host. gen
+// increments on every acquisition, so the typed timeout event carrying
+// (flow, gen) can tell its own request from a later reuse of the struct.
 type clientFlow struct {
 	state      int // 0 syn-sent, 1 established (payload sent), 2 closed
 	ttl        uint8
@@ -268,6 +276,49 @@ type clientFlow struct {
 	onResponse func(n *Network, payload []byte)
 	onFail     func(n *Network)
 	isn        uint32
+	key        tcpFlowKey
+	gen        uint64
+}
+
+// newFlow takes a flow from the pool (or allocates one) and bumps its
+// generation.
+func (h *Host) newFlow() *clientFlow {
+	var fl *clientFlow
+	if k := len(h.freeFlows); k > 0 {
+		fl = h.freeFlows[k-1]
+		h.freeFlows = h.freeFlows[:k-1]
+	} else {
+		fl = &clientFlow{}
+	}
+	fl.gen++
+	return fl
+}
+
+// endFlow closes a flow that is still in the map: it leaves the map, drops
+// its payload and callback references and returns to the pool, so its
+// generation ends here. The caller runs the callback it took beforehand,
+// which may open a new request on the same struct.
+func (h *Host) endFlow(fl *clientFlow) {
+	delete(h.tcpFlows, fl.key)
+	fl.state = flowClosed
+	fl.payload, fl.onResponse, fl.onFail = nil, nil, nil
+	h.freeFlows = append(h.freeFlows, fl)
+}
+
+// tcpTimeout is the dispatch target of a flow's typed timeout event. A
+// closed flow or a stale generation means the request already ended and
+// the struct went back to the pool (where it may since carry a newer
+// request): nothing to do. Otherwise the request timed out before
+// completing and fails.
+func (h *Host) tcpTimeout(n *Network, fl *clientFlow, gen uint64) {
+	if fl.gen != gen || fl.state == flowClosed {
+		return
+	}
+	cb := fl.onFail
+	h.endFlow(fl)
+	if cb != nil {
+		cb(n)
+	}
 }
 
 const (
@@ -303,31 +354,22 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 	if timeout == 0 {
 		timeout = 10 * time.Second
 	}
-	key := tcpFlowKey{remote: dst, local: sport}
-	fl := &clientFlow{
-		state:      flowSynSent,
-		ttl:        ttl,
-		ipID:       opts.IPID,
-		payload:    payload,
-		onResponse: opts.OnResponse,
-		onFail:     opts.OnFail,
-		isn:        uint32(sport)<<16 | 0x1234,
-	}
-	h.tcpFlows[key] = fl
+	fl := h.newFlow()
+	fl.state = flowSynSent
+	fl.ttl, fl.ipID = ttl, opts.IPID
+	fl.payload = payload
+	fl.onResponse, fl.onFail = opts.OnResponse, opts.OnFail
+	fl.isn = uint32(sport)<<16 | 0x1234
+	fl.key = tcpFlowKey{remote: dst, local: sport}
+	h.tcpFlows[fl.key] = fl
 	src := wire.Endpoint{Addr: h.Addr, Port: sport}
 	raw, err := wire.BuildTCP(src, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
 	if err == nil {
 		n.InjectOwned(raw)
 	}
-	n.Schedule(timeout, func() {
-		if cur, ok := h.tcpFlows[key]; ok && cur == fl && fl.state != flowClosed {
-			fl.state = flowClosed
-			delete(h.tcpFlows, key)
-			if fl.onFail != nil {
-				fl.onFail(n)
-			}
-		}
-	})
+	e := n.newEvent()
+	e.host, e.tcpFlow, e.gen = h, fl, fl.gen
+	n.scheduleEvent(timeout, e)
 	return sport
 }
 
@@ -373,17 +415,17 @@ func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
 		}
 		return true
 	case fl.state == flowSynSent && t.Flags&wire.TCPRst != 0:
-		fl.state = flowClosed
-		delete(h.tcpFlows, key)
-		if fl.onFail != nil {
-			fl.onFail(n)
+		cb := fl.onFail
+		h.endFlow(fl)
+		if cb != nil {
+			cb(n)
 		}
 		return true
 	case fl.state == flowEstablished && len(t.Payload()) > 0:
-		fl.state = flowClosed
-		delete(h.tcpFlows, key)
-		if fl.onResponse != nil {
-			fl.onResponse(n, payloadOf(t.Payload()))
+		cb := fl.onResponse
+		h.endFlow(fl)
+		if cb != nil {
+			cb(n, payloadOf(t.Payload()))
 		}
 		return true
 	}

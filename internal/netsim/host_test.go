@@ -118,6 +118,48 @@ func TestTCPFailNoServer(t *testing.T) {
 	}
 }
 
+// TestTCPStaleTimeoutAfterFlowReuse completes a request well inside its
+// timeout, so its flow returns to the pool while the timeout event is still
+// queued, then opens a second request that reuses the struct. The first
+// request's timeout firing must not fail the second, which must still time
+// out on its own schedule.
+func TestTCPStaleTimeoutAfterFlowReuse(t *testing.T) {
+	n, _ := twoRouterNet()
+	client := NewHost(n, wire.AddrFrom(100, 0, 0, 1))
+	server := NewHost(n, wire.AddrFrom(203, 0, 113, 80))
+	server.ServeTCP(80, func(n *Network, from wire.Endpoint, payload []byte) []byte { return payload })
+
+	var events []string
+	record := func(what string) { events = append(events, fmt.Sprintf("%s@%v", what, n.Now().Sub(t0))) }
+	client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, []byte("first"), TCPRequestOpts{
+		Timeout:    10 * time.Second,
+		OnResponse: func(*Network, []byte) { record("first-response") },
+		OnFail:     func(*Network) { record("first-fail") },
+	})
+	n.Run(t0.Add(time.Second))
+	if len(client.freeFlows) != 1 {
+		t.Fatalf("after the first response the pool holds %d flows, want 1", len(client.freeFlows))
+	}
+	reused := client.freeFlows[0]
+	// No server answers at 9.9.9.9: the second request can only time out.
+	client.SendTCPRequest(n, wire.Endpoint{Addr: wire.AddrFrom(9, 9, 9, 9), Port: 80}, []byte("second"), TCPRequestOpts{
+		Timeout:    20 * time.Second,
+		OnResponse: func(*Network, []byte) { record("second-response") },
+		OnFail:     func(*Network) { record("second-fail") },
+	})
+	if len(client.freeFlows) != 0 || client.tcpFlows[reused.key] != reused {
+		t.Fatal("the second request did not reuse the pooled flow")
+	}
+	n.RunUntilIdle()
+	want := []string{"first-response@96ms", "second-fail@21s"}
+	if fmt.Sprint(events) != fmt.Sprint(want) {
+		t.Errorf("callbacks = %v, want %v", events, want)
+	}
+	if len(client.tcpFlows) != 0 || len(client.freeFlows) != 1 {
+		t.Errorf("after both requests: %d flows open, %d pooled; want 0 and 1", len(client.tcpFlows), len(client.freeFlows))
+	}
+}
+
 func TestSendRawTCPPayload(t *testing.T) {
 	n, routers := twoRouterNet()
 	tap := &recordingTap{}

@@ -335,7 +335,7 @@ func (n *Network) newEvent() *event {
 // releaseEvent clears an event's references and returns it to the pool.
 func (n *Network) releaseEvent(e *event) {
 	e.fn, e.flight = nil, nil
-	e.udpHost, e.udpW = nil, nil
+	e.host, e.udpW, e.tcpFlow = nil, nil, nil
 	n.freeEvents = append(n.freeEvents, e)
 }
 
@@ -605,17 +605,18 @@ func (n *Network) deliver(pkt []byte) {
 //shadowlint:eventloop
 func (n *Network) dispatch(e *event) {
 	f, fn := e.flight, e.fn
-	uh, uw, ugen := e.udpHost, e.udpW, e.udpGen
+	h, uw, fl, gen := e.host, e.udpW, e.tcpFlow, e.gen
 	n.releaseEvent(e)
-	if f != nil {
+	switch {
+	case f != nil:
 		n.stepFlight(f)
-		return
+	case uw != nil:
+		h.udpTimeout(n, uw, gen)
+	case fl != nil:
+		h.tcpTimeout(n, fl, gen)
+	default:
+		fn()
 	}
-	if uw != nil {
-		uh.udpTimeout(n, uw, ugen)
-		return
-	}
-	fn()
 }
 
 // Run processes events until the queue is empty or the virtual clock would
@@ -711,19 +712,22 @@ func (n *Network) dispatchSeries(seq int64) {
 func (n *Network) Pending() int { return len(n.events) + n.lane.n + n.series.pending() }
 
 // event is one queued occurrence: a generic callback (fn), a packet-flight
-// step (flight), or a typed UDP request timeout (udpW). Exactly one of the
-// three is set. The typed timeout exists because SendUDPRequest fires on
-// every probe: carrying the waiter and its generation in plain fields
-// costs nothing, where the equivalent closure allocated once per request.
+// step (flight), or a typed request timeout of host's UDP waiter (udpW) or
+// TCP client flow (tcpFlow). Exactly one of the four is set. The typed
+// timeouts exist because SendUDPRequest and SendTCPRequest fire on every
+// probe and decoy: carrying the waiter or flow and its generation in plain
+// fields costs nothing, where the equivalent closure allocated once per
+// request.
 // Events are pooled by the Network; they live only between scheduleEvent
 // and dispatch. Their dispatch key lives in the queue entry, not here.
 type event struct {
 	fn     func()
 	flight *flight
 
-	udpHost *Host
+	host    *Host
 	udpW    *udpWaiter
-	udpGen  uint64
+	tcpFlow *clientFlow
+	gen     uint64
 }
 
 // heapEntry is one queued event with its dispatch key inline: the virtual

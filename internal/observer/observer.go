@@ -180,6 +180,11 @@ type Exhibitor struct {
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
+	// q is the probe query the encoder serializes, under the same
+	// contract.
+	//
+	//shadowlint:eventloop
+	q dnswire.Message
 	// dec is reply-decode scratch under the same contract: resolve's reply
 	// callback reads only the first A record's address out of it before
 	// returning.
@@ -305,7 +310,7 @@ func (e *Exhibitor) launchProbe(n *netsim.Network, origin Origin, kind ProbeKind
 		e.resolve(n, origin, domain, nil)
 	case ProbeHTTP:
 		e.resolve(n, origin, domain, func(addr wire.Addr) {
-			req := httpwire.NewGET(domain, path).Encode()
+			req := httpwire.EncodeGET(domain, path)
 			origin.Host.SendTCPRequest(n, wire.Endpoint{Addr: addr, Port: 80}, req, netsim.TCPRequestOpts{})
 		})
 	case ProbeHTTPS:
@@ -314,8 +319,7 @@ func (e *Exhibitor) launchProbe(n *netsim.Network, origin Origin, kind ProbeKind
 			e.mu.Lock()
 			e.rng.Read(random[:])
 			e.mu.Unlock()
-			ch := tlswire.NewClientHello(domain, random)
-			payload, err := ch.Encode()
+			payload, err := tlswire.EncodeClientHello(domain, random)
 			if err != nil {
 				return
 			}
@@ -330,8 +334,8 @@ func (e *Exhibitor) resolve(n *netsim.Network, origin Origin, domain string, onA
 	e.mu.Lock()
 	qid := uint16(e.rng.Intn(0xFFFF) + 1)
 	e.mu.Unlock()
-	q := dnswire.NewQuery(qid, domain, dnswire.TypeA)
-	payload, err := q.AppendEncode(&e.enc)
+	dnswire.QueryInto(&e.q, qid, domain, dnswire.TypeA)
+	payload, err := e.q.AppendEncode(&e.enc)
 	if err != nil {
 		return
 	}

@@ -11,6 +11,7 @@
 package resolversim
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -177,11 +178,145 @@ type Service struct {
 	//shadowlint:eventloop
 	enc dnswire.Encoder
 	// upq is upstream-query scratch under the same single-goroutine
-	// contract: the Message is serialized and sent before recurse and
-	// recurseDoH return, so nothing retains it.
+	// contract: the Message is serialized and sent before recurse returns,
+	// so nothing retains it.
 	//
 	//shadowlint:eventloop
 	upq dnswire.Message
+	// dec and resp are decode and reply scratch under the same contract:
+	// a handler decodes a client query (or, in a recursion's callback, the
+	// upstream answer) into dec, reads what it needs, and encodes its reply
+	// from resp before returning. Decoded names are fresh strings, so the
+	// cache and exhibitors may keep them; answers are copied only when a
+	// cache entry takes them.
+	//
+	//shadowlint:eventloop
+	dec dnswire.Message
+	//shadowlint:eventloop
+	resp dnswire.Message
+	// freeRecursions pools pending-recursion records; see recursion.
+	//
+	//shadowlint:eventloop
+	freeRecursions []*recursion
+}
+
+// recursion is what a pending upstream resolution keeps of the client's
+// query — ID, opcode, RD, the first question and the client — to answer it
+// when the upstream reply or timeout arrives. Records are pooled per
+// service and bind their two callbacks once, so a recursion allocates
+// nothing in the steady state. The reply echoes only the first question;
+// every query the simulation sends has exactly one.
+type recursion struct {
+	s      *Service
+	inst   *Instance
+	client wire.Endpoint
+	id     uint16
+	opcode uint8
+	rd     bool
+	doh    bool // answer over a DoH push instead of UDP
+	q      dnswire.Question
+
+	onReply   func(n *netsim.Network, resp []byte)
+	onTimeout func(n *netsim.Network)
+}
+
+// newRecursion takes a record from the pool (or builds one) and fills it
+// from the decoded query q.
+func (s *Service) newRecursion(inst *Instance, q *dnswire.Message, client wire.Endpoint, doh bool) *recursion {
+	var r *recursion
+	if k := len(s.freeRecursions); k > 0 {
+		r = s.freeRecursions[k-1]
+		s.freeRecursions = s.freeRecursions[:k-1]
+	} else {
+		r = &recursion{s: s}
+		r.onReply, r.onTimeout = r.reply, r.timeout
+	}
+	r.inst, r.client, r.doh = inst, client, doh
+	r.id, r.opcode, r.rd = q.Header.ID, q.Header.Opcode, q.Header.RD
+	r.q = q.Questions[0]
+	return r
+}
+
+// take copies the record out and returns it to the pool. Exactly one of
+// its two callbacks runs per request, so this is its only release point.
+func (r *recursion) take() recursion {
+	p := *r
+	r.inst, r.q = nil, dnswire.Question{}
+	r.s.freeRecursions = append(r.s.freeRecursions, r)
+	return p
+}
+
+// reply handles the upstream answer: cache it, then answer the client.
+func (r *recursion) reply(n *netsim.Network, resp []byte) {
+	p := r.take()
+	s := p.s
+	msg := &s.dec
+	if err := dnswire.DecodeInto(msg, resp); err != nil {
+		s.answer(n, &p, dnswire.RcodeServFail, nil)
+		return
+	}
+	ttl := time.Hour
+	if len(msg.Answers) > 0 {
+		ttl = time.Duration(msg.Answers[0].TTL) * time.Second
+	}
+	answers := slices.Clone(msg.Answers)
+	p.inst.store(n.Now(), cacheKey{p.q.Name, p.q.Type}, cacheEntry{
+		answers: answers, rcode: msg.Header.Rcode, expires: n.Now().Add(ttl),
+	})
+	s.answer(n, &p, msg.Header.Rcode, answers)
+}
+
+// timeout answers SERVFAIL when no upstream reply came. Only the UDP path
+// counts it as a ServFail.
+func (r *recursion) timeout(n *netsim.Network) {
+	p := r.take()
+	if !p.doh {
+		p.s.mu.Lock()
+		p.s.stats.ServFails++
+		p.s.mu.Unlock()
+	}
+	p.s.answer(n, &p, dnswire.RcodeServFail, nil)
+}
+
+// answer encodes the reply to a pending recursion's client and sends it.
+func (s *Service) answer(n *netsim.Network, p *recursion, rcode uint8, answers []dnswire.RR) {
+	q := dnswire.Message{
+		Header:    dnswire.Header{ID: p.id, Opcode: p.opcode, RD: p.rd},
+		Questions: []dnswire.Question{p.q},
+	}
+	if raw := s.respond(&q, rcode, answers); raw != nil {
+		s.send(n, p.client, raw, p.doh)
+	}
+}
+
+// send delivers an encoded reply outside a handler's return: as a UDP
+// datagram from port 53, or for DoH wrapped in its HTTP envelope as a TCP
+// data packet from port 443.
+func (s *Service) send(n *netsim.Network, client wire.Endpoint, raw []byte, doh bool) {
+	var pkt []byte
+	var err error
+	if doh {
+		pkt, err = wire.BuildTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
+			wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, dohResponse(raw))
+	} else {
+		pkt, err = wire.BuildUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
+	}
+	if err != nil {
+		return
+	}
+	n.InjectOwned(pkt)
+}
+
+// respond encodes a reply to the decoded query q, echoing every question,
+// into the service's scratch. It returns nil if the reply does not encode.
+func (s *Service) respond(q *dnswire.Message, rcode uint8, answers []dnswire.RR) []byte {
+	dnswire.ResponseInto(&s.resp, q, rcode)
+	s.resp.Answers = append(s.resp.Answers, answers...)
+	raw, err := s.resp.AppendEncode(&s.enc)
+	if err != nil {
+		return nil
+	}
+	return raw
 }
 
 // ServiceStats counts resolver activity.
@@ -222,118 +357,12 @@ func (s *Service) EnableDoH() {
 		// The inner DNS exchange reuses the UDP handler; the response (when
 		// answered synchronously from cache) wraps back into HTTP. For
 		// recursion, the client is answered over a direct DoH push.
-		resp := s.handleDoHQuery(n, from, req.Body)
+		resp := s.query(n, from, req.Body, true)
 		if resp == nil {
 			return nil
 		}
 		return dohResponse(resp)
 	})
-}
-
-// handleDoHQuery mirrors handleQuery, but replies through an HTTP wrapper.
-func (s *Service) handleDoHQuery(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-	q, err := dnswire.Decode(payload)
-	if err != nil || q.Header.QR || len(q.Questions) == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	s.stats.Queries++
-	s.clients[from.Addr] = true
-	s.mu.Unlock()
-	inst := s.instanceFor(from.Addr)
-	if inst == nil {
-		resp := dnswire.NewResponse(q, dnswire.RcodeServFail)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
-	}
-	if inst.Exhibitor != nil {
-		if qo, ok := inst.Exhibitor.(QueryObserver); ok {
-			qo.ObserveQuery(n, q.QName(), from.Addr)
-		} else {
-			inst.Exhibitor.ObserveDomain(n, q.QName())
-		}
-	}
-	key := cacheKey{q.QName(), q.QType()}
-	if entry, ok := inst.cache[key]; ok && n.Now().Before(entry.expires) {
-		s.mu.Lock()
-		s.stats.CacheHits++
-		s.mu.Unlock()
-		resp := dnswire.NewResponse(q, entry.rcode)
-		resp.Answers = append(resp.Answers, entry.answers...)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
-	}
-	s.recurseDoH(n, inst, q, from)
-	return nil
-}
-
-// recurseDoH resolves upstream and pushes the HTTP-wrapped answer back to
-// the DoH client.
-func (s *Service) recurseDoH(n *netsim.Network, inst *Instance, q *dnswire.Message, client wire.Endpoint) {
-	_, auth, ok := s.registry.AuthFor(q.QName())
-	if !ok || len(inst.Egress) == 0 {
-		s.mu.Lock()
-		s.stats.ServFails++
-		s.mu.Unlock()
-		s.pushDoH(n, client, q, dnswire.RcodeServFail, nil)
-		return
-	}
-	s.mu.Lock()
-	s.stats.Upstream++
-	s.mu.Unlock()
-	egress := inst.Egress[int(q.Header.ID)%len(inst.Egress)]
-	upstream := &s.upq
-	dnswire.QueryInto(upstream, q.Header.ID, q.QName(), q.QType())
-	upstream.Header.RD = false
-	upPayload, err := upstream.AppendEncode(&s.enc)
-	if err != nil {
-		return
-	}
-	egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, upPayload, netsim.UDPRequestOpts{
-		Timeout: 3 * time.Second,
-		OnReply: func(n *netsim.Network, resp []byte) {
-			msg, err := dnswire.Decode(resp)
-			if err != nil {
-				s.pushDoH(n, client, q, dnswire.RcodeServFail, nil)
-				return
-			}
-			ttl := time.Hour
-			if len(msg.Answers) > 0 {
-				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
-			}
-			inst.store(n.Now(), cacheKey{q.QName(), q.QType()}, cacheEntry{
-				answers: msg.Answers, rcode: msg.Header.Rcode, expires: n.Now().Add(ttl),
-			})
-			s.pushDoH(n, client, q, msg.Header.Rcode, msg.Answers)
-		},
-		OnTimeout: func(n *netsim.Network) {
-			s.pushDoH(n, client, q, dnswire.RcodeServFail, nil)
-		},
-	})
-}
-
-// pushDoH sends the HTTP-wrapped DNS answer as a TCP data packet from the
-// resolver's 443 back to the DoH client.
-func (s *Service) pushDoH(n *netsim.Network, client wire.Endpoint, q *dnswire.Message, rcode uint8, answers []dnswire.RR) {
-	resp := dnswire.NewResponse(q, rcode)
-	resp.Answers = append(resp.Answers, answers...)
-	raw, err := resp.AppendEncode(&s.enc)
-	if err != nil {
-		return
-	}
-	body := dohResponse(raw)
-	pkt, err := wire.BuildTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
-		wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, body)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(pkt)
 }
 
 // dohResponse wraps a DNS message in the RFC 8484 HTTP envelope.
@@ -386,8 +415,16 @@ func (s *Service) instanceFor(client wire.Addr) *Instance {
 
 // handleQuery is the UDP/53 service entry point.
 func (s *Service) handleQuery(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-	q, err := dnswire.Decode(payload)
-	if err != nil || q.Header.QR || len(q.Questions) == 0 {
+	return s.query(n, from, payload, false)
+}
+
+// query answers one client query, over UDP or (doh) wrapped for DoH. A
+// cache hit or a query no instance serves is answered by the returned
+// bytes, which alias the service's encode scratch; a recursion returns nil
+// and answers later.
+func (s *Service) query(n *netsim.Network, from wire.Endpoint, payload []byte, doh bool) []byte {
+	q := &s.dec
+	if err := dnswire.DecodeInto(q, payload); err != nil || q.Header.QR || len(q.Questions) == 0 {
 		return nil
 	}
 	s.mu.Lock()
@@ -397,12 +434,7 @@ func (s *Service) handleQuery(n *netsim.Network, from wire.Endpoint, payload []b
 
 	inst := s.instanceFor(from.Addr)
 	if inst == nil {
-		resp := dnswire.NewResponse(q, dnswire.RcodeServFail)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.respond(q, dnswire.RcodeServFail, nil)
 	}
 
 	// Destination-side shadowing: the instance records the query name
@@ -415,33 +447,31 @@ func (s *Service) handleQuery(n *netsim.Network, from wire.Endpoint, payload []b
 		}
 	}
 
-	key := cacheKey{q.QName(), q.QType()}
-	if entry, ok := inst.cache[key]; ok && n.Now().Before(entry.expires) {
+	if entry, ok := inst.cache[cacheKey{q.QName(), q.QType()}]; ok && n.Now().Before(entry.expires) {
 		s.mu.Lock()
 		s.stats.CacheHits++
 		s.mu.Unlock()
-		resp := dnswire.NewResponse(q, entry.rcode)
-		resp.Answers = append(resp.Answers, entry.answers...)
-		raw, err := resp.AppendEncode(&s.enc)
-		if err != nil {
-			return nil
-		}
-		return raw
+		return s.respond(q, entry.rcode, entry.answers)
 	}
 
 	// Recurse asynchronously: reply to the client when the authoritative
 	// answer returns. Returning nil here suppresses the synchronous reply.
-	s.recurse(n, inst, q, from)
+	s.recurse(n, inst, q, from, doh)
 	return nil
 }
 
-func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message, client wire.Endpoint) {
-	_, auth, ok := s.registry.AuthFor(q.QName())
+// recurse sends q upstream on behalf of client. Over UDP, the instance may
+// follow it with benign duplicates; DoH recursions never retry.
+func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message, client wire.Endpoint, doh bool) {
+	qname := q.QName()
+	_, auth, ok := s.registry.AuthFor(qname)
 	if !ok || len(inst.Egress) == 0 {
 		s.mu.Lock()
 		s.stats.ServFails++
 		s.mu.Unlock()
-		s.replyToClient(n, client, q, dnswire.RcodeServFail, nil)
+		if raw := s.respond(q, dnswire.RcodeServFail, nil); raw != nil {
+			s.send(n, client, raw, doh)
+		}
 		return
 	}
 	s.mu.Lock()
@@ -450,41 +480,21 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 
 	egress := inst.Egress[int(q.Header.ID)%len(inst.Egress)]
 	upstream := &s.upq
-	dnswire.QueryInto(upstream, q.Header.ID, q.QName(), q.QType())
+	dnswire.QueryInto(upstream, q.Header.ID, qname, q.QType())
 	upstream.Header.RD = false
 	upPayload, err := upstream.AppendEncode(&s.enc)
 	if err != nil {
 		return
 	}
-	answered := false
+	r := s.newRecursion(inst, q, client, doh)
 	egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, upPayload, netsim.UDPRequestOpts{
-		Timeout: 3 * time.Second,
-		OnReply: func(n *netsim.Network, resp []byte) {
-			answered = true
-			msg, err := dnswire.Decode(resp)
-			if err != nil {
-				s.replyToClient(n, client, q, dnswire.RcodeServFail, nil)
-				return
-			}
-			ttl := time.Hour
-			if len(msg.Answers) > 0 {
-				ttl = time.Duration(msg.Answers[0].TTL) * time.Second
-			}
-			inst.store(n.Now(), cacheKey{q.QName(), q.QType()}, cacheEntry{
-				answers: msg.Answers, rcode: msg.Header.Rcode,
-				expires: n.Now().Add(ttl),
-			})
-			s.replyToClient(n, client, q, msg.Header.Rcode, msg.Answers)
-		},
-		OnTimeout: func(n *netsim.Network) {
-			if !answered {
-				s.mu.Lock()
-				s.stats.ServFails++
-				s.mu.Unlock()
-				s.replyToClient(n, client, q, dnswire.RcodeServFail, nil)
-			}
-		},
+		Timeout:   3 * time.Second,
+		OnReply:   r.onReply,
+		OnTimeout: r.onTimeout,
 	})
+	if doh {
+		return
+	}
 
 	// Benign duplicate upstream queries (implementation choice). These are
 	// the packets APNIC saw as "DNS zombies" within the first minute.
@@ -495,8 +505,8 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 		// Deterministic per-query coin derived from the query name, so
 		// repeated runs are reproducible.
 		h := uint32(2166136261)
-		for i := 0; i < len(q.QName()); i++ {
-			h = (h ^ uint32(q.QName()[i])) * 16777619
+		for i := 0; i < len(qname); i++ {
+			h = (h ^ uint32(qname[i])) * 16777619
 		}
 		if float64(h%10000) >= inst.RetryProb*10000 {
 			return
@@ -521,20 +531,6 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 	}
 }
 
-func (s *Service) replyToClient(n *netsim.Network, client wire.Endpoint, q *dnswire.Message, rcode uint8, answers []dnswire.RR) {
-	resp := dnswire.NewResponse(q, rcode)
-	resp.Answers = append(resp.Answers, answers...)
-	raw, err := resp.AppendEncode(&s.enc)
-	if err != nil {
-		return
-	}
-	pkt, err := wire.BuildUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(pkt)
-}
-
 // ReferralServer is a root or TLD authoritative server: it answers every
 // query with a referral (authority NS record) and never shadows. Decoys
 // sent directly to roots/TLDs get authentic responses and, per the paper,
@@ -546,10 +542,15 @@ type ReferralServer struct {
 	mu      sync.Mutex
 	queries int64
 
-	// enc is reply-encode scratch; see Service.enc for why this is safe.
+	// enc, dec and resp are encode, decode and reply scratch; see
+	// Service.enc for why this is safe.
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
+	//shadowlint:eventloop
+	dec dnswire.Message
+	//shadowlint:eventloop
+	resp dnswire.Message
 }
 
 // NewReferralServer registers a referral server on addr.
@@ -568,15 +569,15 @@ func (rs *ReferralServer) Queries() int64 {
 }
 
 func (rs *ReferralServer) handle(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-	q, err := dnswire.Decode(payload)
-	if err != nil || q.Header.QR || len(q.Questions) == 0 {
+	q := &rs.dec
+	if err := dnswire.DecodeInto(q, payload); err != nil || q.Header.QR || len(q.Questions) == 0 {
 		return nil
 	}
 	rs.mu.Lock()
 	rs.queries++
 	rs.mu.Unlock()
-	resp := dnswire.NewResponse(q, dnswire.RcodeNoError)
-	resp.Header.AA = false
+	resp := &rs.resp
+	dnswire.ResponseInto(resp, q, dnswire.RcodeNoError)
 	// Refer one level down from our zone toward the query name.
 	child := referralChild(q.QName(), rs.Zone)
 	resp.Authority = append(resp.Authority, dnswire.RR{

@@ -35,6 +35,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -151,7 +152,14 @@ func (d *recordDecoder) events() ([]EventRecord, error) {
 		return nil, err
 	}
 	d.evs, d.labels, d.ends = d.evs[:0], d.labels[:0], d.ends[:0]
+	first := 0 // offset of the first event
 	err := d.array(func() error {
+		switch len(d.evs) {
+		case 0:
+			first = d.pos
+		case 1:
+			d.sizeEvents(d.pos - first)
+		}
 		d.evs = append(d.evs, EventRecord{})
 		ev := &d.evs[len(d.evs)-1]
 		err := d.structOrNull(eventFields, func(i int) (err error) {
@@ -191,6 +199,30 @@ func (d *recordDecoder) events() ([]EventRecord, error) {
 		start = end
 	}
 	return evs, nil
+}
+
+// minEventBytes floors the encoded size sizeEvents assumes per event. An
+// event with all five fields takes more than 64 bytes of JSON, and the
+// floor bounds the scratch a frame of tiny events can claim to about its
+// own size.
+const minEventBytes = 64
+
+// sizeEvents grows the events scratch, once the first event is decoded
+// (firstLen bytes with its separator), to hold the rest of the frame if the
+// others encode about as long: a pooled decoder that the GC dropped then
+// regrows in one step, not by doubling. Events past the estimate still
+// append as usual.
+func (d *recordDecoder) sizeEvents(firstLen int) {
+	per := max(firstLen, minEventBytes)
+	rest := (len(d.data) - d.pos) / per
+	want := 1 + rest + rest/8
+	if cap(d.evs) < want {
+		d.evs = slices.Grow(d.evs, want-len(d.evs))
+		d.ends = slices.Grow(d.ends, want-len(d.ends))
+	}
+	if lw := want * len(d.labels); cap(d.labels) < lw {
+		d.labels = slices.Grow(d.labels, lw-len(d.labels))
+	}
 }
 
 func (d *recordDecoder) metric(m *telemetry.Metric) error {

@@ -85,6 +85,11 @@ const (
 	maxFramePayload = 64 << 20
 )
 
+// errRecordTooLarge is returned by Append and AppendIndexed for a record
+// whose encoding exceeds the frame payload bound (64 MiB). Nothing is
+// written.
+var errRecordTooLarge = errors.New("runstore: record exceeds the 64 MiB frame bound")
+
 // Manifest identifies a campaign. Every field participates in the
 // compatibility check on resume: a campaign can only be continued by a
 // run with the identical configuration fingerprint and seed plan.
@@ -550,12 +555,17 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 	if _, dup := s.frames[rec.Trial]; dup {
 		return FrameRef{}, fmt.Errorf("runstore: trial %d is already stored in %s", rec.Trial, s.dir)
 	}
-	if err := s.rollbackLocked(); err != nil {
-		return FrameRef{}, err
-	}
 	payload, err := json.Marshal(rec)
 	if err != nil {
 		return FrameRef{}, fmt.Errorf("runstore: encoding trial %d: %w", rec.Trial, err)
+	}
+	// Every reader refuses a frame over the bound as torn, so writing one
+	// would lose the record (and, without sidecars, the log behind it).
+	if len(payload) > maxFramePayload {
+		return FrameRef{}, fmt.Errorf("runstore: trial %d encodes to %d bytes: %w", rec.Trial, len(payload), errRecordTooLarge)
+	}
+	if err := s.rollbackLocked(); err != nil {
+		return FrameRef{}, err
 	}
 	frame := make([]byte, headerSize+len(payload))
 	binary.BigEndian.PutUint32(frame[0:4], recordMagic)

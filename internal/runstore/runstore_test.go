@@ -2,6 +2,7 @@ package runstore
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -454,5 +455,72 @@ func TestHashJSON(t *testing.T) {
 	}
 	if len(h1) != 64 {
 		t.Errorf("hash length %d, want 64 hex chars", len(h1))
+	}
+}
+
+// TestAppendRefusesOversizedRecord appends a record whose encoding passes
+// the 64 MiB frame bound. Readers treat such a frame as torn, so the append
+// must fail and leave the log, the frame map and the sidecars as they
+// were; the store must then take a normal record, and a reopen without
+// sidecars (as after a crash before Close) must find no torn tail.
+func TestAppendRefusesOversizedRecord(t *testing.T) {
+	dir := t.TempDir() + "/camp"
+	s, err := Create(dir, testManifest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Append(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	logp := LogPath(dir)
+	before, err := os.ReadFile(logp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := testRecord(1)
+	huge.Events[0].Label = strings.Repeat("x", maxFramePayload)
+	ref, err := s.AppendIndexed(huge)
+	huge = TrialRecord{}
+	if err == nil {
+		t.Fatalf("a record over the frame bound was appended at %+v", ref)
+	}
+	if !errors.Is(err, errRecordTooLarge) {
+		t.Errorf("err = %v, want errRecordTooLarge", err)
+	}
+	after, err := os.ReadFile(logp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("the refused append changed trials.log: %d -> %d bytes", len(before), len(after))
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d records after the refused append, want 1", s.Len())
+	}
+	if _, ok, _ := s.Get(1); ok {
+		t.Fatal("the refused trial is in the frame map")
+	}
+	if err := s.Append(testRecord(1)); err != nil {
+		t.Fatalf("append after the refusal: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, side := range []string{IndexPath(dir), HeadlinesPath(dir)} {
+		if err := os.Remove(side); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := telemetry.NewSet()
+	r, err := Open(dir, set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := storedRecords(t, r); len(got) != 2 || got[1].Trial != 1 {
+		t.Errorf("reopened store holds %d records, want trials 0 and 1", len(got))
+	}
+	if n := counterValue(t, set, "runstore_torn_tail_total"); n != 0 {
+		t.Errorf("runstore_torn_tail_total = %d after reopen, want 0", n)
 	}
 }

@@ -21,12 +21,17 @@ const extECH = 0xFE0D
 var echMask = []byte{0x5A, 0xC3, 0x96, 0x69}
 
 func echSeal(name string) []byte {
-	out := make([]byte, 2+len(name))
-	binary.BigEndian.PutUint16(out[0:2], uint16(len(name)))
+	return appendECHSeal(make([]byte, 0, 2+len(name)), name)
+}
+
+// appendECHSeal appends the sealed form of name: its length, then its
+// bytes under the mask.
+func appendECHSeal(b []byte, name string) []byte {
+	b = binary.BigEndian.AppendUint16(b, uint16(len(name)))
 	for i := 0; i < len(name); i++ {
-		out[2+i] = name[i] ^ echMask[i%len(echMask)]
+		b = append(b, name[i]^echMask[i%len(echMask)])
 	}
-	return out
+	return b
 }
 
 func echOpen(payload []byte) (string, bool) {

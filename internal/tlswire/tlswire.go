@@ -61,68 +61,95 @@ func NewClientHello(serverName string, random [32]byte) *ClientHello {
 	}
 }
 
-// Encode serializes the ClientHello wrapped in a TLS record. It refuses a
-// hello whose session ID or record would overflow its length field.
+// Encode serializes the ClientHello wrapped in a TLS record, in one exactly
+// sized buffer. It refuses a hello whose session ID or record would
+// overflow its length field.
 func (ch *ClientHello) Encode() ([]byte, error) {
+	return ch.encode("", false)
+}
+
+// EncodeClientHello returns the bytes NewClientHello(serverName,
+// random).Encode() does without building the ClientHello: the encoder for
+// decoys and probes, which send one hello each.
+func EncodeClientHello(serverName string, random [32]byte) ([]byte, error) {
+	ch := ClientHello{Version: VersionTLS12, Random: random, CipherSuites: defaultCipherSuites, ServerName: serverName}
+	return ch.encode("", false)
+}
+
+// EncodeClientHelloECH returns the bytes NewClientHelloECH(serverName,
+// random).Encode() does, sealing the name straight into the record.
+func EncodeClientHelloECH(serverName string, random [32]byte) ([]byte, error) {
+	ch := ClientHello{Version: VersionTLS12, Random: random, CipherSuites: defaultCipherSuites}
+	return ch.encode(serverName, true)
+}
+
+// encode writes the record. With seal set, the encrypted_client_hello
+// extension carries echSeal(echName), written in place, instead of
+// ch.ECHPayload.
+func (ch *ClientHello) encode(echName string, seal bool) ([]byte, error) {
 	if len(ch.ServerName) > 0xFFFF-5 {
 		return nil, fmt.Errorf("tlswire: server name too long: %d", len(ch.ServerName))
 	}
 	if len(ch.SessionID) > 0xFF {
 		return nil, fmt.Errorf("tlswire: session ID too long: %d", len(ch.SessionID))
 	}
-	body := make([]byte, 0, 128+len(ch.ServerName))
-	body = appendU16(body, ch.Version)
-	body = append(body, ch.Random[:]...)
-	body = append(body, byte(len(ch.SessionID)))
-	body = append(body, ch.SessionID...)
-	body = appendU16(body, uint16(2*len(ch.CipherSuites)))
-	for _, cs := range ch.CipherSuites {
-		body = appendU16(body, cs)
+	echLen := len(ch.ECHPayload)
+	if seal {
+		echLen = 2 + len(echName)
 	}
-	body = append(body, 1, 0) // compression methods: null only
-
-	// Extensions.
-	var ext []byte
+	extLen := 4 + 3 // supported_versions
 	if ch.ServerName != "" {
-		sni := make([]byte, 0, len(ch.ServerName)+5)
-		sni = appendU16(sni, uint16(len(ch.ServerName)+3)) // server_name_list length
-		sni = append(sni, sniHostName)
-		sni = appendU16(sni, uint16(len(ch.ServerName)))
-		sni = append(sni, ch.ServerName...)
-		ext = appendU16(ext, extServerName)
-		ext = appendU16(ext, uint16(len(sni)))
-		ext = append(ext, sni...)
+		extLen += 4 + 5 + len(ch.ServerName)
+	}
+	if echLen > 0 {
+		extLen += 4 + echLen
+	}
+	bodyLen := 2 + 32 + 1 + len(ch.SessionID) + 2 + 2*len(ch.CipherSuites) + 2 + 2 + extLen
+	hsLen := 4 + bodyLen
+	// Every inner length field counts bytes of the handshake message, so
+	// this bounds them all.
+	if hsLen > 0xFFFF {
+		return nil, fmt.Errorf("tlswire: record too long: %d", hsLen)
+	}
+
+	b := make([]byte, 0, 5+hsLen)
+	b = append(b, RecordHandshake)
+	b = appendU16(b, VersionTLS12)
+	b = appendU16(b, uint16(hsLen))
+	b = append(b, HandshakeClient, byte(bodyLen>>16), byte(bodyLen>>8), byte(bodyLen))
+	b = appendU16(b, ch.Version)
+	b = append(b, ch.Random[:]...)
+	b = append(b, byte(len(ch.SessionID)))
+	b = append(b, ch.SessionID...)
+	b = appendU16(b, uint16(2*len(ch.CipherSuites)))
+	for _, cs := range ch.CipherSuites {
+		b = appendU16(b, cs)
+	}
+	b = append(b, 1, 0) // compression methods: null only
+
+	b = appendU16(b, uint16(extLen))
+	if ch.ServerName != "" {
+		b = appendU16(b, extServerName)
+		b = appendU16(b, uint16(len(ch.ServerName)+5))
+		b = appendU16(b, uint16(len(ch.ServerName)+3)) // server_name_list length
+		b = append(b, sniHostName)
+		b = appendU16(b, uint16(len(ch.ServerName)))
+		b = append(b, ch.ServerName...)
 	}
 	// supported_versions offering TLS 1.3
-	sv := []byte{2, 0x03, 0x04}
-	ext = appendU16(ext, extSupportedVers)
-	ext = appendU16(ext, uint16(len(sv)))
-	ext = append(ext, sv...)
-	if len(ch.ECHPayload) > 0 {
-		ext = appendU16(ext, extECH)
-		ext = appendU16(ext, uint16(len(ch.ECHPayload)))
-		ext = append(ext, ch.ECHPayload...)
+	b = appendU16(b, extSupportedVers)
+	b = appendU16(b, 3)
+	b = append(b, 2, 0x03, 0x04)
+	if echLen > 0 {
+		b = appendU16(b, extECH)
+		b = appendU16(b, uint16(echLen))
+		if seal {
+			b = appendECHSeal(b, echName)
+		} else {
+			b = append(b, ch.ECHPayload...)
+		}
 	}
-
-	body = appendU16(body, uint16(len(ext)))
-	body = append(body, ext...)
-
-	// Handshake header.
-	hs := make([]byte, 4, 4+len(body))
-	hs[0] = HandshakeClient
-	putU24(hs[1:4], len(body))
-	hs = append(hs, body...)
-	// Every inner length field counts bytes of hs, so this bounds them all.
-	if len(hs) > 0xFFFF {
-		return nil, fmt.Errorf("tlswire: record too long: %d", len(hs))
-	}
-
-	// Record layer.
-	rec := make([]byte, 5, 5+len(hs))
-	rec[0] = RecordHandshake
-	binary.BigEndian.PutUint16(rec[1:3], VersionTLS12)
-	binary.BigEndian.PutUint16(rec[3:5], uint16(len(hs)))
-	return append(rec, hs...), nil
+	return b, nil
 }
 
 // ParseClientHello parses a record-wrapped ClientHello. This is the routine

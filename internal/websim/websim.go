@@ -98,6 +98,7 @@ func Build(n *netsim.Network, topo *topology.Topology, cfg Config) *Fleet {
 	}
 
 	f := &Fleet{byAS: make(map[int][]*Site)}
+	srv := &server{badRequest: httpwire.NewResponse(400, "bad request").Encode()}
 	for i := 0; i < numSites; i++ {
 		as := ases[rng.Intn(len(ases))]
 		addr := topo.AllocHostAddr(as)
@@ -110,15 +111,27 @@ func Build(n *netsim.Network, topo *topology.Topology, cfg Config) *Fleet {
 		}
 		f.Sites = append(f.Sites, site)
 		f.byAS[as.ASN] = append(f.byAS[as.ASN], site)
-		deploySite(n, site)
+		deploySite(n, srv, site)
 	}
 	return f
+}
+
+// server is what every front-end of a fleet shares: HTTP parse scratch and
+// the static 400 reply.
+type server struct {
+	// req is parse scratch: handlers run on the world's single event-loop
+	// goroutine and finish with a request before the next arrives. The
+	// Host string handed to OnHost is a fresh copy, so it may be kept.
+	//
+	//shadowlint:eventloop
+	req        httpwire.Request
+	badRequest []byte
 }
 
 // deploySite registers the HTTP and TLS services of one front-end. Its
 // 200 response and ServerHello never vary, so both are encoded once here;
 // the host copies a reply into its packet, so every request shares them.
-func deploySite(n *netsim.Network, site *Site) {
+func deploySite(n *netsim.Network, srv *server, site *Site) {
 	host := netsim.NewHost(n, site.Addr)
 	body := fmt.Sprintf("<html><body>%s (rank %d)</body></html>", site.Domain, site.Rank)
 	ok := httpwire.NewResponse(200, body).Encode()
@@ -126,9 +139,9 @@ func deploySite(n *netsim.Network, site *Site) {
 	copy(sh.Random[:], site.Domain)
 	hello := sh.Encode()
 	host.ServeTCP(80, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-		req, err := httpwire.ParseRequest(payload)
-		if err != nil {
-			return httpwire.NewResponse(400, "bad request").Encode()
+		req := &srv.req
+		if err := httpwire.ParseRequestInto(req, payload); err != nil {
+			return srv.badRequest
 		}
 		// Top sites answer regardless of Host header (the decoy's Host
 		// mismatches the front-end on purpose, see Section 3 footnote 1).

@@ -397,17 +397,44 @@ if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     exit 1
 fi
 
+echo "== decoy generate allocation gate"
+# A decoy costs three allocations whatever its protocol: the Decoy, its
+# domain string, and a payload encoded straight into a buffer of exactly
+# its size (no intermediate DNS message, header map or ClientHello).
+bench_out=$(go test -run '^$' -bench BenchmarkGenerate -benchmem ./internal/decoy)
+for proto in DNS HTTP TLS; do
+    allocs=$(echo "$bench_out" | awk -v p="BenchmarkGenerate/$proto-" 'index($1, p) == 1 {print $(NF-1)}')
+    echo "BenchmarkGenerate/$proto: $allocs allocs/op"
+    if [ -z "$allocs" ] || [ "$allocs" -gt 3 ]; then
+        echo "$proto decoy generation allocations regressed: $allocs allocs/op (gate: 3)" >&2
+        exit 1
+    fi
+done
+
+echo "== resolver cache-hit allocation gate"
+# A query answered from cache decodes into the service's scratch message
+# and encodes its reply from scratch: the query name, which the cache and
+# exhibitors may keep, is its only allocation.
+allocs=$(go test -run '^$' -bench BenchmarkCacheHit -benchmem ./internal/resolversim |
+    awk '/BenchmarkCacheHit/ {print $(NF-1)}')
+echo "BenchmarkCacheHit: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 1 ]; then
+    echo "resolver cache-hit allocations regressed: $allocs allocs/op (gate: 1)" >&2
+    exit 1
+fi
+
 echo "== runstore record-decode allocation gate"
 # A 20,000-event frame decodes into an exactly sized events slice, one
 # string holding every label, and interned protocol and destination
-# names: about 135 allocations, where json.Unmarshal makes about 88,000.
-# The ceiling leaves about 5% headroom; per-event allocations would
-# add thousands.
+# names: 132 allocations, where json.Unmarshal makes about 88,000. The
+# pooled scratch is sized from the first event, so the count holds when
+# the GC has emptied the pool. The ceiling leaves about 5% headroom;
+# per-event allocations would add thousands.
 allocs=$(go test -run '^$' -bench BenchmarkDecodeFrame -benchmem ./internal/runstore |
     awk '/BenchmarkDecodeFrame/ {print $(NF-1)}')
 echo "BenchmarkDecodeFrame: $allocs allocs/op"
-if [ -z "$allocs" ] || [ "$allocs" -gt 145 ]; then
-    echo "record-decode allocations regressed: $allocs allocs/op (gate: 145)" >&2
+if [ -z "$allocs" ] || [ "$allocs" -gt 139 ]; then
+    echo "record-decode allocations regressed: $allocs allocs/op (gate: 139)" >&2
     exit 1
 fi
 
@@ -419,14 +446,16 @@ echo "== trials allocation + multi-core speedup gates"
 # arenas, and static HTTP header atoms) and a Phase II allocation diet
 # (zero-copy delivery, chunked capture log, scratch DNS encodes), then
 # the question-name reuse in DNS decode, then filter-before-parse observer
-# taps: an 8-trial batch sits at about 2.36M allocs, down from ~9.8M
-# before the sweeps. The ceiling leaves about 6% headroom for noise while
-# catching any real regression.
+# taps, then one allocation per message (exactly sized decoy encoders,
+# scratch-decoding resolvers and HTTP servers, pooled TCP request flows):
+# an 8-trial batch sits at about 1.48M allocs, down from ~9.8M before the
+# sweeps. The ceiling leaves about 6% headroom for noise while catching any
+# real regression.
 bench_out=$(go test -run '^$' -bench 'BenchmarkTrials/workers=(1|4)$' -benchmem -benchtime 1x ./internal/runner)
 allocs=$(echo "$bench_out" | awk '/workers=1/ {print $(NF-1)}')
 echo "BenchmarkTrials/workers=1: $allocs allocs/op"
-if [ -z "$allocs" ] || [ "$allocs" -gt 2500000 ]; then
-    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 2500000)" >&2
+if [ -z "$allocs" ] || [ "$allocs" -gt 1570000 ]; then
+    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 1570000)" >&2
     exit 1
 fi
 

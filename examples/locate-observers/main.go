@@ -90,7 +90,11 @@ func main() {
 
 	// Correlate: which probe labels re-appeared at the honeypot?
 	corr := correlate.New(codec)
-	for _, p := range sweep.Probes {
+	for ttl := 1; ttl <= engine.MaxTTL; ttl++ {
+		p := sweep.Probes[uint8(ttl)]
+		if p == nil {
+			continue
+		}
 		corr.AddSent(&correlate.Sent{
 			Label: p.Label, Domain: p.Domain, Protocol: decoy.HTTP,
 			VP: vp.Addr, Dst: dst, DstName: "demo-web", Time: p.SentAt, TTL: p.TTL,

@@ -341,14 +341,19 @@ func (e *Experiment) runPhaseII() {
 
 	w.Net.RunUntilIdle()
 
-	// Register Phase II probes in the send log, then classify the captures
-	// they produced.
+	// Register Phase II probes in the send log, in TTL order so that which
+	// record wins a label collision follows from the seed, then classify
+	// the captures they produced.
 	for _, ref := range refs {
 		if ref.sweep == nil {
 			continue
 		}
 		e.sweeps = append(e.sweeps, ref.sweep)
-		for _, p := range ref.sweep.Probes {
+		for ttl := 1; ttl <= traceroute.HopLimit; ttl++ {
+			p := ref.sweep.Probes[uint8(ttl)]
+			if p == nil {
+				continue
+			}
 			e.sentCounts[ref.sweep.Proto]++
 			e.decoysSent[ref.sweep.Proto].Inc()
 			e.Correlator.AddSent(&correlate.Sent{

@@ -135,7 +135,7 @@ type Stats struct {
 func New(codec *identifier.Codec) *Correlator {
 	return &Correlator{
 		codec: codec,
-		log:   newSendLog(),
+		log:   newSendLog(codec),
 		m:     newCorrelatorMetrics(telemetry.NewRegistry()),
 	}
 }
@@ -154,15 +154,23 @@ func (c *Correlator) Bind(set *telemetry.Set) {
 // record wins — replacing it would misattribute every later capture of
 // the older decoy to the newer emission. The log keeps a copy of s's
 // fields, not s itself.
+//
+// s.Label must be the identifier label the correlator's codec encodes for
+// s's send second, VP and TTL, and s.Domain must start with it; AddSent
+// panics otherwise (a duplicate is dropped before that check).
 func (c *Correlator) AddSent(s *Sent) {
+	id, err := c.codec.Decode(s.Label)
+	if err != nil {
+		panic(fmt.Sprintf("correlate: send record label %q: %v", s.Label, err))
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if _, dup := c.log.find(s.Label); dup {
+	if _, dup := c.log.find(id, s.Label); dup {
 		c.stats.LabelCollisions++
 		c.m.labelCollision.Inc()
 		return
 	}
-	c.log.add(s)
+	c.log.add(id, s)
 	c.stats.SentDecoys++
 }
 
@@ -170,9 +178,13 @@ func (c *Correlator) AddSent(s *Sent) {
 // leaked it returns the record its Unsolicited events share; otherwise it
 // builds a fresh one.
 func (c *Correlator) SentByLabel(label string) (*Sent, bool) {
+	id, err := c.codec.Decode(label)
+	if err != nil {
+		return nil, false
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	i, ok := c.log.find(label)
+	i, ok := c.log.find(id, label)
 	if !ok {
 		return nil, false
 	}
@@ -246,19 +258,21 @@ func (c *Correlator) classify(cap *honeypot.Capture, out []Unsolicited) []Unsoli
 		c.m.unknownLabel.Inc()
 		return out
 	}
-	if _, err := c.codec.Decode(cap.Label); err != nil {
+	id, err := c.codec.Decode(cap.Label)
+	if err != nil {
 		c.stats.ChecksumRejected++
 		c.m.crcRejected.Inc()
 		return out
 	}
-	i, ok := c.log.find(cap.Label)
+	i, ok := c.log.find(id, cap.Label)
 	if !ok {
 		c.stats.UnknownLabel++
 		c.m.unknownLabel.Inc()
 		return out
 	}
 	r := c.log.rec(i)
-	sentProto := decoy.Protocol(r.proto)
+	k := &c.log.kinds[r.kind]
+	sentProto := k.proto
 
 	rule := 0
 	switch {
@@ -267,10 +281,10 @@ func (c *Correlator) classify(cap *honeypot.Capture, out []Unsolicited) []Unsoli
 	case cap.Protocol != sentProto:
 		rule = 1
 	case cap.Protocol == decoy.DNS:
-		r.dnsSeen++
-		if !r.expectRecursion || r.dnsSeen > 1 {
+		if !k.expectRecursion || r.dnsSeen {
 			rule = 3
 		}
+		r.dnsSeen = true
 	}
 	if rule == 0 {
 		c.stats.Solicited++

@@ -19,19 +19,25 @@ var (
 	dst   = wire.Endpoint{Addr: wire.MustParseAddr("77.88.8.8"), Port: 53}
 )
 
-func mkSent(t *testing.T, proto decoy.Protocol, nonce uint16) *Sent {
-	t.Helper()
-	id := identifier.ID{Time: epoch, VP: vp, Dst: dst.Addr, TTL: 64, Nonce: nonce}
-	label, err := codec.Encode(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &Sent{
-		Label: label, Domain: label + ".www.experiment.domain",
+// mkSent builds a Phase I decoy record, applies set, and then encodes its
+// label from the fields set left it with.
+func mkSent(tb testing.TB, proto decoy.Protocol, nonce uint16, set ...func(*Sent)) *Sent {
+	tb.Helper()
+	s := &Sent{
 		Protocol: proto, VP: vp, Dst: dst, DstName: "Yandex",
 		Time: epoch, TTL: 64, Phase: PhaseI,
 		ExpectRecursion: proto == decoy.DNS, // Phase I decoys to a resolver
 	}
+	for _, f := range set {
+		f(s)
+	}
+	id := identifier.ID{Time: s.Time, VP: s.VP, Dst: s.Dst.Addr, TTL: s.TTL, Nonce: nonce}
+	label, err := codec.Encode(id)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	s.Label, s.Domain = label, label+".www.experiment.domain"
+	return s
 }
 
 func TestPhaseIIProbeFirstDNSUnsolicited(t *testing.T) {
@@ -39,10 +45,11 @@ func TestPhaseIIProbeFirstDNSUnsolicited(t *testing.T) {
 	// recursion is expected: even the first DNS re-appearance of its name
 	// is unsolicited (the probe itself is rule iii's "earlier query").
 	c := New(codec)
-	s := mkSent(t, decoy.DNS, 99)
-	s.Phase = PhaseII
-	s.TTL = 4
-	s.ExpectRecursion = false
+	s := mkSent(t, decoy.DNS, 99, func(s *Sent) {
+		s.Phase = PhaseII
+		s.TTL = 4
+		s.ExpectRecursion = false
+	})
 	c.AddSent(s)
 	got := c.Classify([]honeypot.Capture{capture(s, decoy.DNS, epoch.Add(30*time.Minute))})
 	if len(got) != 1 || got[0].Rule != 3 {
@@ -247,9 +254,7 @@ func BenchmarkClassify(b *testing.B) {
 	c := New(codec)
 	var caps []honeypot.Capture
 	for i := 0; i < 1000; i++ {
-		id := identifier.ID{Time: epoch, VP: vp, Dst: dst.Addr, TTL: 64, Nonce: uint16(i)}
-		label, _ := codec.Encode(id)
-		s := &Sent{Label: label, Domain: label + ".www.experiment.domain", Protocol: decoy.DNS, VP: vp, Dst: dst, Time: epoch}
+		s := mkSent(b, decoy.DNS, uint16(i))
 		c.AddSent(s)
 		caps = append(caps, honeypot.Capture{
 			Time: epoch.Add(time.Duration(i) * time.Second), Protocol: decoy.HTTP,
@@ -264,22 +269,20 @@ func BenchmarkClassify(b *testing.B) {
 }
 
 // TestSentByLabelRebuildsRecord checks that the send log gives back every
-// field AddSent was handed, for domains that extend the label (the decoy
-// shape, stored as label bytes plus a shared suffix) and domains that do
-// not (stored in full), and that all events of a leaked decoy share one
-// record.
+// field AddSent was handed, re-encoding the label into the domain, and
+// that all events of a leaked decoy share one record.
 func TestSentByLabelRebuildsRecord(t *testing.T) {
 	c := New(codec)
-	prefixed := mkSent(t, decoy.DNS, 7)
-	prefixed.Time = epoch.Add(90*time.Minute + 123456789*time.Nanosecond)
-	other := mkSent(t, decoy.HTTP, 8)
-	other.Domain = "unrelated.example"
-	other.Phase, other.TTL, other.ExpectRecursion = PhaseII, 5, false
-	bare := &Sent{Label: "not-an-identifier", Protocol: decoy.TLS, Time: epoch}
-	for _, s := range []*Sent{prefixed, other, bare} {
+	prefixed := mkSent(t, decoy.DNS, 7, func(s *Sent) {
+		s.Time = epoch.Add(90*time.Minute + 123456789*time.Nanosecond)
+	})
+	other := mkSent(t, decoy.HTTP, 8, func(s *Sent) {
+		s.Phase, s.TTL, s.ExpectRecursion = PhaseII, 5, false
+	})
+	for _, s := range []*Sent{prefixed, other} {
 		c.AddSent(s)
 	}
-	for _, want := range []*Sent{prefixed, other, bare} {
+	for _, want := range []*Sent{prefixed, other} {
 		got, ok := c.SentByLabel(want.Label)
 		if !ok || !reflect.DeepEqual(got, want) {
 			t.Errorf("SentByLabel(%q) = %+v, %v; want %+v", want.Label, got, ok, want)
@@ -287,6 +290,22 @@ func TestSentByLabelRebuildsRecord(t *testing.T) {
 	}
 	if _, ok := c.SentByLabel(prefixed.Label[:10]); ok {
 		t.Error("SentByLabel matched a label prefix")
+	}
+
+	// A record must carry its own identifier label, as a prefix of its
+	// domain; the log keeps no text to fall back on.
+	unrelated := mkSent(t, decoy.HTTP, 9)
+	unrelated.Domain = "unrelated.example"
+	bare := &Sent{Label: "not-an-identifier", Protocol: decoy.TLS, Time: epoch}
+	for _, s := range []*Sent{unrelated, bare} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("AddSent(%q, %q) did not panic", s.Label, s.Domain)
+				}
+			}()
+			c.AddSent(s)
+		}()
 	}
 
 	events := c.Classify([]honeypot.Capture{

@@ -1,82 +1,77 @@
 package correlate
 
 import (
+	"fmt"
 	"strings"
 	"time"
 
 	"shadowmeter/internal/decoy"
+	"shadowmeter/internal/identifier"
 	"shadowmeter/internal/wire"
 )
 
 // The send log holds one record per decoy a campaign emits, so at the
-// paper's geometry it holds about 20.8M of them. It is kept free of
-// pointers, which the garbage collector then never scans: fixed-size
-// records in chunks that are never moved, the label and domain bytes in
-// a text arena, the destination names and domain suffixes in a small
-// string table, and a label index keyed by a 64-bit label hash. A *Sent is
-// built only when a decoy leaks (or when SentByLabel asks for one).
+// paper's geometry it holds about 20.8M of them. A decoy's label is its
+// identifier: it encodes the send second, VP, destination, initial TTL and
+// nonce. So a record keeps those fields instead of the label text, and the
+// log finds a record from a label's decoded identifier. The fields many
+// decoys share (where the decoy went, the domain after its label, protocol,
+// phase) are one index into a small table of kinds. Records are free of
+// pointers, which the garbage collector then never scans, and sit in chunks
+// that are never moved. A *Sent is built only when a decoy leaks (or when
+// SentByLabel asks for one), its label re-encoded from the record.
 
-const (
-	recChunkBits  = 12 // records per chunk: 4096 × 56 B
-	textChunkBits = 20 // text arena chunk: 1 MiB
-	noSuffix      = ^uint32(0)
-)
+const recChunkBits = 12 // records per chunk: 4096 × 24 B
 
-// sentRec is one send-log record: a Sent with its strings replaced by
-// arena offsets and table indices.
+// sentRec is one send-log record.
 type sentRec struct {
-	sec  int64  // Time, Unix seconds
-	nsec uint32 // Time, nanoseconds; rebuilt in UTC
-	// text is the arena offset of the label's bytes. When suffix is
-	// noSuffix the full domain (domLen bytes) follows the label; otherwise
-	// the domain is the label followed by strs[suffix].
-	text     uint32
-	labelLen uint16
-	domLen   uint16
-	suffix   uint32
-	dstName  uint32 // index into strs
-	next     uint32 // 1-based index of the next record with the same label hash; 0 ends the chain
-	dnsSeen  uint32 // DNS captures of this label so far (rule iii)
-	vp, dst  wire.Addr
-	port     uint16
-	proto    uint8
-	phase    uint8
+	sec      uint32 // the label's second, counted from the codec epoch
+	nsec     uint32 // Time's nanoseconds; Time is rebuilt in UTC
+	vp       wire.Addr
+	labelDst wire.Addr // the label's destination; see sentKind.dst
+	kind     uint32    // index into sendLog.kinds
+	nonce    uint16
 	ttl      uint8
+	dnsSeen  bool // a DNS capture of this decoy has been classified (rule iii)
+}
+
+// sentKind holds the fields of a Sent that its label does not encode.
+type sentKind struct {
+	// dst is Sent.Dst. It is the label's destination except for ODoH
+	// decoys, which are sent to a proxy and name the resolver in the label.
+	dst     wire.Endpoint
+	dstName string
+	suffix  string // Domain after Label
+	proto   decoy.Protocol
+	phase   Phase
 
 	expectRecursion bool
 }
 
 // sendLog is the Correlator's send log; the Correlator's mutex guards it.
 type sendLog struct {
+	codec *identifier.Codec
 	recs  [][]sentRec // every chunk has cap 1<<recChunkBits; all but the last are full
 	n     uint32
-	text  [][]byte          // every chunk has cap 1<<textChunkBits
-	index map[uint64]uint32 // label hash -> 1-based index of the chain's first record
+	// slots indexes the records by (second, nonce) with linear probing:
+	// each slot holds a 1-based record index, or 0 when empty. Its length is
+	// a power of two, and it doubles before it is more than 3/4 full.
+	slots []uint32
 
-	strs   []string
-	strIdx map[string]uint32
+	kinds   []sentKind
+	kindIdx map[sentKind]uint32
 
 	// leaked caches the Sent built for each decoy that has produced an
 	// unsolicited capture, so all of its events share one record.
 	leaked map[uint32]*Sent
 }
 
-func newSendLog() sendLog {
+func newSendLog(codec *identifier.Codec) sendLog {
 	return sendLog{
-		index:  make(map[uint64]uint32),
-		strIdx: make(map[string]uint32),
-		leaked: make(map[uint32]*Sent),
+		codec:   codec,
+		kindIdx: make(map[sentKind]uint32),
+		leaked:  make(map[uint32]*Sent),
 	}
-}
-
-// labelHash is 64-bit FNV-1a. Records are matched on the label bytes
-// themselves, so a collision costs one chain step and changes nothing.
-func labelHash(s string) uint64 {
-	h := uint64(14695981039346656037)
-	for i := 0; i < len(s); i++ {
-		h = (h ^ uint64(s[i])) * 1099511628211
-	}
-	return h
 }
 
 // rec returns record i for reading or updating.
@@ -84,118 +79,122 @@ func (l *sendLog) rec(i uint32) *sentRec {
 	return &l.recs[i>>recChunkBits][i&(1<<recChunkBits-1)]
 }
 
-// bytes returns n arena bytes at offset off.
-func (l *sendLog) bytes(off uint32, n int) []byte {
-	return l.text[off>>textChunkBits][off&(1<<textChunkBits-1):][:n]
+// second is id's send second counted from the codec epoch, as its label
+// carries it.
+func (l *sendLog) second(id identifier.ID) uint32 {
+	return uint32(id.Time.Unix() - l.codec.Epoch.Unix())
 }
 
-func (l *sendLog) label(r *sentRec) []byte { return l.bytes(r.text, int(r.labelLen)) }
+// home is the first slot probed for (sec, nonce).
+func (l *sendLog) home(sec uint32, nonce uint16) uint32 {
+	h := (uint64(sec)<<16 | uint64(nonce)) * 0x9E3779B97F4A7C15
+	return uint32(h>>32) & uint32(len(l.slots)-1)
+}
 
-// find returns the index of the record whose label is label.
-func (l *sendLog) find(label string) (uint32, bool) {
-	for j := l.index[labelHash(label)]; j != 0; {
-		r := l.rec(j - 1)
-		if string(l.label(r)) == label {
-			return j - 1, true
+// canonical reports whether label is exactly the label id encodes to.
+func (l *sendLog) canonical(id identifier.ID, label string) bool {
+	var buf [64]byte
+	b, err := l.codec.AppendEncode(buf[:0], id)
+	return err == nil && string(b) == label
+}
+
+// find returns the index of the record of label, whose decoded identifier
+// is id.
+func (l *sendLog) find(id identifier.ID, label string) (uint32, bool) {
+	if len(l.slots) == 0 {
+		return 0, false
+	}
+	sec, mask := l.second(id), uint32(len(l.slots)-1)
+	for s := l.home(sec, id.Nonce); l.slots[s] != 0; s = (s + 1) & mask {
+		i := l.slots[s] - 1
+		r := l.rec(i)
+		if r.sec == sec && r.nonce == id.Nonce && r.vp == id.VP && r.labelDst == id.Dst && r.ttl == id.TTL {
+			// No two records share an identifier, so no later slot can
+			// hold label's record.
+			return i, l.canonical(id, label)
 		}
-		j = r.next
 	}
 	return 0, false
 }
 
-// add appends s as a new record; the caller has checked that its label is
-// not yet in the log.
-func (l *sendLog) add(s *Sent) {
-	if len(s.Label) > 0xFFFF || len(s.Domain) > 0xFFFF {
-		panic("correlate: send record label or domain longer than 65535 bytes")
+// add appends s, whose label decodes to id, as a new record; the caller
+// has checked that the label is not yet in the log.
+func (l *sendLog) add(id identifier.ID, s *Sent) {
+	if !l.canonical(id, s.Label) || id.Time.Unix() != s.Time.Unix() || id.VP != s.VP || id.TTL != s.TTL ||
+		!strings.HasPrefix(s.Domain, s.Label) {
+		panic(fmt.Sprintf("correlate: send record %q is not labeled with its own identifier", s.Label))
 	}
-	if int(uint8(s.Protocol)) != int(s.Protocol) || int(uint8(s.Phase)) != int(s.Phase) {
-		panic("correlate: send record protocol or phase out of range")
-	}
-	r := sentRec{
-		sec: s.Time.Unix(), nsec: uint32(s.Time.Nanosecond()),
-		labelLen: uint16(len(s.Label)),
-		suffix:   noSuffix,
-		dstName:  l.str(s.DstName),
-		vp:       s.VP, dst: s.Dst.Addr, port: s.Dst.Port,
-		proto: uint8(s.Protocol), phase: uint8(s.Phase), ttl: s.TTL,
-		expectRecursion: s.ExpectRecursion,
-	}
-	if suffix, ok := strings.CutPrefix(s.Domain, s.Label); ok {
-		r.suffix = l.str(suffix)
-		r.text = l.store(s.Label, "")
-	} else {
-		r.domLen = uint16(len(s.Domain))
-		r.text = l.store(s.Label, s.Domain)
-	}
-	h := labelHash(s.Label)
-	r.next = l.index[h]
 	if l.n&(1<<recChunkBits-1) == 0 {
 		l.recs = append(l.recs, make([]sentRec, 0, 1<<recChunkBits))
 	}
 	last := &l.recs[len(l.recs)-1]
-	*last = append(*last, r)
+	*last = append(*last, sentRec{
+		sec: l.second(id), nsec: uint32(s.Time.Nanosecond()),
+		vp: id.VP, labelDst: id.Dst,
+		kind: l.kind(sentKind{
+			dst: s.Dst, dstName: s.DstName, suffix: s.Domain[len(s.Label):],
+			proto: s.Protocol, phase: s.Phase, expectRecursion: s.ExpectRecursion,
+		}),
+		nonce: id.Nonce, ttl: id.TTL,
+	})
 	l.n++
-	l.index[h] = l.n
-}
-
-// store copies a and b, back to back, into the text arena and returns
-// their offset. The pair never straddles two chunks.
-func (l *sendLog) store(a, b string) uint32 {
-	n := len(a) + len(b)
-	if k := len(l.text); k == 0 || len(l.text[k-1])+n > 1<<textChunkBits {
-		if len(l.text) == 1<<(32-textChunkBits) {
-			panic("correlate: send-log text arena full")
+	if 4*uint64(l.n) > 3*uint64(len(l.slots)) {
+		l.slots = make([]uint32, max(2*len(l.slots), 64))
+		for j := uint32(1); j < l.n; j++ {
+			l.index(j)
 		}
-		l.text = append(l.text, make([]byte, 0, 1<<textChunkBits))
 	}
-	k := len(l.text) - 1
-	off := uint32(k)<<textChunkBits | uint32(len(l.text[k]))
-	l.text[k] = append(append(l.text[k], a...), b...)
-	return off
+	l.index(l.n)
 }
 
-// str returns the table index of s, adding a copy of s on first sight (a
-// copy, so a suffix does not pin the domain it was cut from).
-func (l *sendLog) str(s string) uint32 {
-	if i, ok := l.strIdx[s]; ok {
+// index puts the 1-based record index j in the first free slot of its
+// probe sequence.
+func (l *sendLog) index(j uint32) {
+	r, mask := l.rec(j-1), uint32(len(l.slots)-1)
+	s := l.home(r.sec, r.nonce)
+	for l.slots[s] != 0 {
+		s = (s + 1) & mask
+	}
+	l.slots[s] = j
+}
+
+// kind returns the table index of k, adding it on first sight with copies
+// of its strings, so a suffix does not pin the domain it was cut from.
+func (l *sendLog) kind(k sentKind) uint32 {
+	if i, ok := l.kindIdx[k]; ok {
 		return i
 	}
-	s = strings.Clone(s)
-	i := uint32(len(l.strs))
-	l.strs = append(l.strs, s)
-	l.strIdx[s] = i
+	k.dstName, k.suffix = strings.Clone(k.dstName), strings.Clone(k.suffix)
+	i := uint32(len(l.kinds))
+	l.kinds = append(l.kinds, k)
+	l.kindIdx[k] = i
 	return i
 }
 
-// build rebuilds record i as a Sent. Label is a prefix of Domain whenever
-// it was when the record was added, so the two share one allocation.
+// build rebuilds record i as a Sent. Its label is re-encoded into the
+// domain's one allocation.
 func (l *sendLog) build(i uint32) *Sent {
 	r := l.rec(i)
-	var domain, label string
-	if r.suffix == noSuffix {
-		text := l.bytes(r.text, int(r.labelLen)+int(r.domLen))
-		label, domain = string(text[:r.labelLen]), string(text[r.labelLen:])
-	} else {
-		var b strings.Builder
-		b.Grow(int(r.labelLen) + len(l.strs[r.suffix]))
-		b.Write(l.label(r))
-		b.WriteString(l.strs[r.suffix])
-		domain = b.String()
-		label = domain[:r.labelLen]
-	}
+	k := &l.kinds[r.kind]
+	epoch := l.codec.Epoch.Unix()
+	var buf [128]byte
+	//shadowlint:ignore droppederr the record was added from a label this ID encoded to
+	label, _ := l.codec.AppendEncode(buf[:0], identifier.ID{
+		Time: time.Unix(epoch+int64(r.sec), 0), VP: r.vp, Dst: r.labelDst, TTL: r.ttl, Nonce: r.nonce,
+	})
+	domain := string(append(label, k.suffix...))
 	return &Sent{
-		Label:    label,
+		Label:    domain[:len(label)],
 		Domain:   domain,
-		Protocol: decoy.Protocol(r.proto),
+		Protocol: k.proto,
 		VP:       r.vp,
-		Dst:      wire.Endpoint{Addr: r.dst, Port: r.port},
-		DstName:  l.strs[r.dstName],
-		Time:     time.Unix(r.sec, int64(r.nsec)).UTC(),
+		Dst:      k.dst,
+		DstName:  k.dstName,
+		Time:     time.Unix(epoch+int64(r.sec), int64(r.nsec)).UTC(),
 		TTL:      r.ttl,
-		Phase:    Phase(r.phase),
+		Phase:    k.phase,
 
-		ExpectRecursion: r.expectRecursion,
+		ExpectRecursion: k.expectRecursion,
 	}
 }
 

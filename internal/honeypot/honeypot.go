@@ -148,10 +148,6 @@ type Deployment struct {
 	codec     *identifier.Codec
 	webAddrs  []wire.Addr
 
-	mu          sync.Mutex
-	homepage    int64 // visits to the documented experiment homepage
-	unparseable int64
-
 	// enc is reply-encode scratch. Handlers run on the world's single
 	// event-loop goroutine, and the packet builder copies the bytes before
 	// the next query can arrive, so one per-deployment encoder is safe.
@@ -269,7 +265,7 @@ func Deploy(n *netsim.Network, cfg Config, sites []*Site, registry interface {
 func (d *Deployment) handleDNS(n *netsim.Network, s *Site, from wire.Endpoint, payload []byte) []byte {
 	q := &d.dec
 	if err := dnswire.DecodeInto(q, payload); err != nil || q.Header.QR || len(q.Questions) == 0 {
-		d.countUnparseable()
+		d.m.unparseable.Inc()
 		return nil
 	}
 	name := q.QName()
@@ -312,7 +308,7 @@ func (d *Deployment) handleDNS(n *netsim.Network, s *Site, from wire.Endpoint, p
 func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, payload []byte) []byte {
 	req := &d.req
 	if err := httpwire.ParseRequestInto(req, payload); err != nil {
-		d.countUnparseable()
+		d.m.unparseable.Inc()
 		return d.badRequest
 	}
 	host := dnswire.Canonical(req.Host())
@@ -323,9 +319,6 @@ func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, 
 	})
 	d.m.capturesHTTP.Inc()
 	if req.Path == "/" {
-		d.mu.Lock()
-		d.homepage++
-		d.mu.Unlock()
 		d.m.homepageVisits.Inc()
 		return d.homepageResp
 	}
@@ -336,7 +329,7 @@ func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, 
 func (d *Deployment) handleTLS(n *netsim.Network, s *Site, from wire.Endpoint, payload []byte) []byte {
 	ch, err := tlswire.ParseClientHello(payload)
 	if err != nil {
-		d.countUnparseable()
+		d.m.unparseable.Inc()
 		return nil
 	}
 	name := dnswire.Canonical(ch.ServerName)
@@ -349,27 +342,6 @@ func (d *Deployment) handleTLS(n *netsim.Network, s *Site, from wire.Endpoint, p
 	sh := tlswire.ServerHello{Version: tlswire.VersionTLS12, CipherSuite: 0x1301}
 	copy(sh.Random[:], name) // deterministic, content-derived
 	return sh.Encode()
-}
-
-// HomepageVisits reports how many times "/" was fetched.
-func (d *Deployment) HomepageVisits() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.homepage
-}
-
-// Unparseable reports malformed arrivals.
-func (d *Deployment) Unparseable() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.unparseable
-}
-
-func (d *Deployment) countUnparseable() {
-	d.mu.Lock()
-	d.unparseable++
-	d.mu.Unlock()
-	d.m.unparseable.Inc()
 }
 
 // firstIdentifierLabel extracts the left-most label if it is shaped like an

@@ -138,8 +138,8 @@ func TestHTTPCaptureAndHomepage(t *testing.T) {
 	if resp.StatusCode != 200 || !strings.Contains(string(resp.Body), "measurement experiment") {
 		t.Errorf("homepage = %d %q", resp.StatusCode, resp.Body)
 	}
-	if d.HomepageVisits() != 1 {
-		t.Errorf("homepage visits = %d", d.HomepageVisits())
+	if d.m.homepageVisits.Value() != 1 {
+		t.Errorf("homepage visits = %d", d.m.homepageVisits.Value())
 	}
 
 	// Enumeration path gets 404 and is logged with the path.
@@ -196,8 +196,8 @@ func TestUnparseableCounted(t *testing.T) {
 	client := netsim.NewHost(n, wire.MustParseAddr("100.64.0.1"))
 	client.SendTCPRequest(n, wire.Endpoint{Addr: d.Sites[0].WebAddr, Port: 443}, []byte("not a clienthello"), netsim.TCPRequestOpts{Timeout: time.Second})
 	n.RunUntilIdle()
-	if d.Unparseable() != 1 {
-		t.Errorf("unparseable = %d", d.Unparseable())
+	if d.m.unparseable.Value() != 1 {
+		t.Errorf("unparseable = %d", d.m.unparseable.Value())
 	}
 }
 

@@ -24,6 +24,7 @@
 package identifier
 
 import (
+	"encoding/base32"
 	"errors"
 	"fmt"
 	"strings"
@@ -105,7 +106,7 @@ func (c *Codec) AppendEncode(dst []byte, id ID) ([]byte, error) {
 	buf[15] = byte(crc >> 8)
 	buf[16] = byte(crc)
 	// Label = base32 body, '-', 4 decimal nonce digits.
-	dst = appendBase32(dst, buf[:])
+	dst = b32.AppendEncode(dst, buf[:])
 	suffix := id.Nonce % 10000
 	return append(dst, '-',
 		byte('0'+suffix/1000%10),
@@ -166,6 +167,10 @@ func IsIdentifierLabel(label string) bool {
 // DNS-safe base32 alphabet (RFC 4648 lowercase).
 const alphabet = "abcdefghijklmnopqrstuvwxyz234567"
 
+// b32 encodes identifier bodies. Decoding stays with decodeBase32, which
+// rejects the line breaks encoding/base32 skips.
+var b32 = base32.NewEncoding(alphabet).WithPadding(base32.NoPadding)
+
 var alphabetRev = func() [256]int8 {
 	var rev [256]int8
 	for i := range rev {
@@ -176,23 +181,6 @@ var alphabetRev = func() [256]int8 {
 	}
 	return rev
 }()
-
-func appendBase32(out, data []byte) []byte {
-	var acc uint32
-	var bits uint
-	for _, b := range data {
-		acc = acc<<8 | uint32(b)
-		bits += 8
-		for bits >= 5 {
-			bits -= 5
-			out = append(out, alphabet[acc>>bits&0x1F])
-		}
-	}
-	if bits > 0 {
-		out = append(out, alphabet[acc<<(5-bits)&0x1F])
-	}
-	return out
-}
 
 // decodeBase32 appends the decoded bytes of s to out; a caller passing a
 // stack-backed slice with capacity len(s)*5/8 gets an allocation-free

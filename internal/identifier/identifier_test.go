@@ -166,6 +166,25 @@ func TestRoundTripProperty(t *testing.T) {
 	}
 }
 
+// TestEncodeVector pins labels recorded from the hand-written base32
+// encoder that encoding/base32 replaced.
+func TestEncodeVector(t *testing.T) {
+	c := NewCodec(epoch)
+	for _, tc := range []struct {
+		id   ID
+		want string
+	}{
+		{ID{Time: epoch.Add(42 * time.Hour), VP: wire.AddrFrom(100, 64, 3, 7), Dst: wire.AddrFrom(77, 88, 8, 8), TTL: 17, Nonce: 9982},
+			"aabe5ideiabqotkybaebcjx6tzjq-9982"},
+		{ID{Time: epoch.Add((1<<32 - 1) * time.Second), VP: wire.AddrFrom(255, 255, 255, 255), TTL: 255, Nonce: 65535},
+			"7777777777776aaaaaap7777gyoq-5535"},
+	} {
+		if got, err := c.Encode(tc.id); err != nil || got != tc.want {
+			t.Errorf("Encode(%+v) = %q, %v; want %q", tc.id, got, err, tc.want)
+		}
+	}
+}
+
 func TestCRC16Vector(t *testing.T) {
 	// CRC-16/CCITT-FALSE of "123456789" is 0x29B1.
 	if got := crc16([]byte("123456789")); got != 0x29B1 {

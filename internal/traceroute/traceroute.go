@@ -104,7 +104,7 @@ func (s *Sweep) Labels() map[string]uint8 {
 // demultiplexing ICMP handler on each VP it touches.
 type Engine struct {
 	Gen *decoy.Generator
-	// MaxTTL bounds the sweep (paper: 64). 0 means 64.
+	// MaxTTL bounds the sweep (paper: 64). 0 means HopLimit.
 	MaxTTL int
 	// ProbeSpacing is the virtual-time gap between consecutive TTL probes
 	// (rate limiting, Appendix A). 0 means 500ms.
@@ -159,6 +159,9 @@ func NewEngine(gen *decoy.Generator) *Engine {
 	}
 }
 
+// HopLimit is the largest initial TTL a sweep probes.
+const HopLimit = 64
+
 const serialBits = 9 // 512 concurrent sweeps per VP, 6 bits of TTL
 
 // Sweep schedules a full TTL sweep from vp toward dst over proto and
@@ -167,10 +170,10 @@ const serialBits = 9 // 512 concurrent sweeps per VP, 6 bits of TTL
 func (e *Engine) Sweep(n *netsim.Network, vp *vantage.VP, dst wire.Endpoint, proto decoy.Protocol) (*Sweep, error) {
 	maxTTL := e.MaxTTL
 	if maxTTL <= 0 {
-		maxTTL = 64
+		maxTTL = HopLimit
 	}
-	if maxTTL > 64 {
-		return nil, fmt.Errorf("traceroute: max TTL %d exceeds 64", maxTTL)
+	if maxTTL > HopLimit {
+		return nil, fmt.Errorf("traceroute: max TTL %d exceeds %d", maxTTL, HopLimit)
 	}
 	spacing := e.ProbeSpacing
 	if spacing == 0 {

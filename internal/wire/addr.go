@@ -11,10 +11,7 @@
 // act on what is actually visible in the packet.
 package wire
 
-import (
-	"fmt"
-	"math/rand"
-)
+import "fmt"
 
 // Addr is an IPv4 address. It is a comparable value type so it can key maps
 // (flow tables, observer retention stores, geo databases).
@@ -76,28 +73,6 @@ func (a Addr) Slash24() Addr { return Addr{a[0], a[1], a[2], 0} }
 
 // SameSlash24 reports whether a and b share a /24.
 func (a Addr) SameSlash24(b Addr) bool { return a.Slash24() == b.Slash24() }
-
-// RandomAddrIn returns a uniformly random host address inside the /prefix
-// network rooted at base, using rng. Host bits of base must be zero for the
-// result to stay in the network; network and broadcast addresses are
-// avoided for /31 and wider.
-func RandomAddrIn(rng *rand.Rand, base Addr, prefix int) Addr {
-	if prefix < 0 || prefix > 32 {
-		panic("wire: invalid prefix length")
-	}
-	hostBits := 32 - prefix
-	if hostBits == 0 {
-		return base
-	}
-	span := uint32(1) << uint(hostBits)
-	var host uint32
-	if span > 2 {
-		host = 1 + uint32(rng.Intn(int(span-2))) // skip network & broadcast
-	} else {
-		host = uint32(rng.Intn(int(span)))
-	}
-	return AddrFromUint32(base.Uint32() | host)
-}
 
 // Endpoint is an (address, port) pair.
 type Endpoint struct {

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"bytes"
-	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -46,23 +45,6 @@ func TestAddrSlash24(t *testing.T) {
 	}
 	if a.Slash24() != MustParseAddr("1.1.1.0") {
 		t.Errorf("Slash24 = %v", a.Slash24())
-	}
-}
-
-func TestRandomAddrIn(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	base := MustParseAddr("10.20.0.0")
-	for i := 0; i < 200; i++ {
-		a := RandomAddrIn(rng, base, 16)
-		if a[0] != 10 || a[1] != 20 {
-			t.Fatalf("address %v escaped 10.20.0.0/16", a)
-		}
-		if a == base || a == MustParseAddr("10.20.255.255") {
-			t.Fatalf("network/broadcast address generated: %v", a)
-		}
-	}
-	if got := RandomAddrIn(rng, base, 32); got != base {
-		t.Errorf("/32 should return base, got %v", got)
 	}
 }
 

@@ -88,6 +88,13 @@ echo "== identifier round-trip fuzz smoke"
 # and the honeypot pre-filter key on these labels.
 go test -run '^$' -fuzz '^FuzzIdentifierRoundTrip$' -fuzztime 10s ./internal/identifier
 
+echo "== send log differential fuzz smoke"
+# The send log finds a record from a label's decoded identifier, keeping
+# no label text: SentByLabel and Classify on any string must answer what
+# the label-hash reference log in sendlog_ref_test.go does, and never
+# panic.
+go test -run '^$' -fuzz '^FuzzSendLog$' -fuzztime 10s ./internal/correlate
+
 echo "== runstore frame decoder differential fuzz smoke"
 # Every store read (resume, show, retention, tail, compact, merge) decodes
 # frames with the schema-specific record decoder: it must accept exactly

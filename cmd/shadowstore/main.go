@@ -131,7 +131,7 @@ func cmdList(dirs []string) error {
 // printStoreStats emits one machine-greppable stderr line with the
 // store's read-side counters next to the log size, so CI can assert the
 // indexed paths stay O(record): an indexed `show -trial N` reads the
-// sidecars plus one frame, never the whole log.
+// sidecar plus one frame, never the whole log.
 func printStoreStats(st *runstore.Store, dir string) {
 	stats := st.Stats()
 	var logSize int64

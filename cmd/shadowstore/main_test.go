@@ -25,7 +25,7 @@ func TestLogFollowerPoll(t *testing.T) {
 			Headline: map[string]float64{"captures": float64(i)},
 			Events:   []runstore.EventRecord{{Label: "decoy", SentProto: "dns", DelayNS: int64(i)}},
 		}
-		if err := st.Append(rec); err != nil {
+		if _, err := st.AppendIndexed(rec); err != nil {
 			t.Fatal(err)
 		}
 	}

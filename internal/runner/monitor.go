@@ -37,19 +37,15 @@ type MonitorOptions struct {
 	// FlightDir, when non-empty, is where flight dumps land as
 	// flight-<trial>.json. Empty disables the flight recorder.
 	FlightDir string
-	// SlowFactor is the watchdog threshold: a trial is "slow" when its
-	// wall time exceeds SlowFactor × the median of completed trials
-	// (read from the trial wall-time histogram, so bucket-resolution).
-	// <= 0 means DefaultSlowFactor.
-	SlowFactor float64
 	// Scale annotates the campaign snapshot (cosmetic; the runner does
 	// not know the CLI's scale name).
 	Scale string
 }
 
-// DefaultSlowFactor is the watchdog's slow-trial multiplier over the
-// median completed-trial wall time.
-const DefaultSlowFactor = 4.0
+// slowFactor is the watchdog threshold: a trial is "slow" when its wall
+// time exceeds slowFactor × the median of completed trials (read from
+// the trial wall-time histogram, so bucket-resolution).
+const slowFactor = 4.0
 
 // watchdogMinSamples is how many completed trials the watchdog needs
 // before it trusts the median enough to call anything slow.
@@ -204,11 +200,10 @@ type workerClock struct {
 // use; runner hooks call the unexported ones, the watch plane and cmd/
 // call the exported snapshot/dump methods.
 type Monitor struct {
-	clock      telemetry.Clock
-	bus        *telemetry.Bus
-	flightDir  string
-	slowFactor float64
-	scale      string
+	clock     telemetry.Clock
+	bus       *telemetry.Bus
+	flightDir string
+	scale     string
 
 	mu        sync.Mutex
 	info      CampaignInfo
@@ -240,18 +235,13 @@ type Monitor struct {
 // NewMonitor creates a Monitor. The zero MonitorOptions is valid (no
 // clock, no bus, no flight recorder — only completion tracking).
 func NewMonitor(opts MonitorOptions) *Monitor {
-	factor := opts.SlowFactor
-	if factor <= 0 {
-		factor = DefaultSlowFactor
-	}
 	return &Monitor{
-		clock:      opts.Clock,
-		bus:        opts.Bus,
-		flightDir:  opts.FlightDir,
-		slowFactor: factor,
-		scale:      opts.Scale,
-		inflight:   make(map[int]*inflightTrial),
-		wallHist:   make([]int64, len(trialWallBounds)+1),
+		clock:     opts.Clock,
+		bus:       opts.Bus,
+		flightDir: opts.FlightDir,
+		scale:     opts.Scale,
+		inflight:  make(map[int]*inflightTrial),
+		wallHist:  make([]int64, len(trialWallBounds)+1),
 	}
 }
 
@@ -414,7 +404,7 @@ func (m *Monitor) trialFinished(worker, trial int, seed int64, resumed bool, hea
 	// the trials that finished before this one.
 	slow := false
 	if med, n := histMedian(m.wallHist); t != nil && !t.dumped && m.clock != nil &&
-		n >= watchdogMinSamples && dur > m.slowFactor*med {
+		n >= watchdogMinSamples && dur > slowFactor*med {
 		slow = true
 		t.dumped = true
 		m.slowDumps++
@@ -500,7 +490,7 @@ func bucketOf(sec float64) int {
 
 // CheckStalled is the in-flight half of the slow-trial watchdog: cmd/
 // drives it from a wall-clock ticker, and any running trial whose
-// elapsed time already exceeds SlowFactor × the median gets a
+// elapsed time already exceeds slowFactor × the median gets a
 // flight dump without waiting for it to finish (it may never). Each
 // trial is dumped at most once. Returns the number of dumps written.
 func (m *Monitor) CheckStalled() int {
@@ -511,7 +501,7 @@ func (m *Monitor) CheckStalled() int {
 	m.mu.Lock()
 	var dumps []*FlightDump
 	if med, n := histMedian(m.wallHist); n >= watchdogMinSamples {
-		limit := m.slowFactor * med
+		limit := slowFactor * med
 		for trial, t := range m.inflight {
 			elapsed := now.Sub(t.start).Seconds()
 			if !t.dumped && elapsed > limit {

@@ -49,7 +49,7 @@ func jsonName(trial int) string {
 }
 
 // The completion-time watchdog: after three 1-second trials set the
-// median, a trial 10× slower crosses SlowFactor×median at finish and
+// median, a trial 10× slower crosses slowFactor×median at finish and
 // must leave a flight dump on disk.
 func TestWatchdogDumpsSlowTrialOnCompletion(t *testing.T) {
 	dir := t.TempDir()

@@ -340,7 +340,7 @@ func TestResumeMismatchedSeedReruns(t *testing.T) {
 	}
 	// Trial 0 stored under a different seed: stale plan, must not be
 	// served even though the trial index matches.
-	err = st.Append(runstore.TrialRecord{
+	_, err = st.AppendIndexed(runstore.TrialRecord{
 		Trial: 0, Seed: 99, ConfigHash: man.ConfigHash,
 		Headline: map[string]float64{"captures": 1},
 	})

@@ -1,13 +1,15 @@
 // Compaction: rewrite trials.log keeping the newest valid record per
-// trial, dropping superseded frames, torn bytes, and orphaned records,
-// then publish the result atomically and republish the sidecar index.
+// trial, dropping superseded frames, torn bytes, and records off the
+// campaign plan, then publish the result atomically and republish the
+// sidecar index.
 //
 // The normal append path can no longer create mid-log garbage (failed
 // appends roll back to the durable end), but compaction still has to
 // assume the worst — logs written by older builds, logs concatenated by
-// hand, disks that lied — so its scan resynchronizes on the frame magic
-// after a bad frame instead of giving up, salvaging every record the
-// plain reader would strand.
+// hand, disks that lied — so salvage resynchronizes on the frame magic
+// after a bad frame instead of giving up, recovering every record the
+// plain reader would strand. Merge rebuilds its log with the same
+// salvage pass.
 package runstore
 
 import (
@@ -20,8 +22,9 @@ type CompactStats struct {
 	// Kept is the number of records in the compacted log.
 	Kept int
 	// DroppedFrames counts decodable frames that were not kept:
-	// superseded duplicates of a trial and records from a foreign
-	// configuration.
+	// superseded duplicates of a trial and records off the campaign
+	// plan (a foreign config hash, a trial outside the plan, or a seed
+	// the plan does not give that trial).
 	DroppedFrames int
 	// BytesBefore/BytesAfter are the log sizes around the pass;
 	// Reclaimed is their difference (superseded frames plus torn or
@@ -32,12 +35,13 @@ type CompactStats struct {
 }
 
 // Compact rewrites the campaign log keeping only the newest valid
-// record per trial, in trial order. Frame bytes are copied verbatim —
-// records are never re-encoded — and the new log is published exactly
-// like the manifest: tmp-file + fsync + rename + dir-fsync, so a crash
-// at any point leaves either the old log or the new one, never a mix.
-// Both sidecars are republished afterwards, so every read on the
-// compacted store is an indexed seek. Requires a writable store.
+// record per trial of the campaign plan, in trial order. Frame bytes
+// are copied verbatim — records are never re-encoded — and the new log
+// is published exactly like the manifest: tmp-file + fsync + rename +
+// dir-fsync, so a crash at any point leaves either the old log or the
+// new one, never a mix. The sidecar is republished afterwards, so every
+// read on the compacted store is an indexed seek. Requires a writable
+// store.
 func (s *Store) Compact() (CompactStats, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -61,20 +65,9 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.m.bytesRead.Add(int64(len(data)))
 	st.BytesBefore = int64(len(data))
 
-	kept, dropped := salvageFrames(data, s.manifest.ConfigHash)
-	st.DroppedFrames = dropped
-	st.Kept = len(kept)
-
-	// Assemble the compacted log in trial order and remember where each
-	// frame will land.
-	var out []byte
-	frames := make(map[int]FrameRef, len(kept))
-	rows := make(map[int]HeadlineRow, len(kept))
-	for _, f := range kept {
-		frames[f.rec.Trial] = FrameRef{Off: int64(len(out)), Len: f.ref.Len}
-		rows[f.rec.Trial] = rowFrom(f.rec)
-		out = append(out, data[f.ref.Off:f.ref.Off+f.ref.Len]...)
-	}
+	out, rows, sv := salvage([][]byte{data}, s.manifest)
+	st.DroppedFrames = sv.superseded + sv.dropped
+	st.Kept = len(rows)
 	st.BytesAfter = int64(len(out))
 	st.Reclaimed = st.BytesBefore - st.BytesAfter
 
@@ -103,12 +96,11 @@ func (s *Store) Compact() (CompactStats, error) {
 		s.rd = nil
 	}
 
-	s.frames = frames
 	s.rows = rows
 	s.end = st.BytesAfter
 	s.m.compactions.Inc()
 	s.m.compactedBytes.Add(st.Reclaimed)
-	if err := s.publishSidecarsLocked(); err != nil {
+	if err := s.publishSidecarLocked(); err != nil {
 		return st, err
 	}
 	return st, nil
@@ -129,46 +121,50 @@ func (s *Store) closeHandlesLocked() {
 	s.closed = true
 }
 
-// savedFrame is one salvageable record located in the old log.
-type savedFrame struct {
-	rec TrialRecord
-	ref FrameRef
+// salvageCounts reports what one salvage pass found.
+type salvageCounts struct {
+	decoded    int   // frames that decoded
+	superseded int   // kept frames replaced by a newer frame for the trial
+	dropped    int   // decoded frames off the plan
+	torn       int64 // bytes outside every decodable frame
 }
 
-// salvageFrames walks the whole log — resynchronizing on the frame
-// magic after any bad frame rather than stopping like the plain reader
-// — and returns the newest valid record per trial whose config hash
-// belongs to this campaign, in trial order. dropped counts decodable
-// frames not kept (superseded duplicates, foreign configurations);
-// undecodable bytes are dropped silently, they were never records.
-func salvageFrames(data []byte, wantHash string) (kept []savedFrame, dropped int) {
-	newest := make(map[int]savedFrame)
-	off := 0
-	for off+headerSize <= len(data) {
-		rec, n, ok := decodeFrame(data[off:])
-		if !ok {
-			// Not a frame boundary: resynchronize at the next magic.
-			next := indexOfMagic(data, off+1)
-			if next < 0 {
-				break
-			}
-			off = next
-			continue
-		}
-		if rec.ConfigHash != wantHash {
-			dropped++
-		} else {
-			if _, dup := newest[rec.Trial]; dup {
-				dropped++ // the earlier frame is superseded
-			}
-			// Later offset wins: appends only ever go forward, so file
-			// order is recency order.
-			newest[rec.Trial] = savedFrame{rec: rec, ref: FrameRef{Off: int64(off), Len: int64(n)}}
-		}
-		off += n
+// salvage rebuilds one clean log from logs: every log is walked in
+// resync mode, and each trial keeps its newest frame on the plan
+// (Manifest.plans) — a later offset supersedes an earlier one (appends
+// only go forward), then a later log an earlier one (callers list logs
+// oldest first). Frames come out in trial order with their bytes copied
+// unchanged, and rows index them in the new log.
+func salvage(logs [][]byte, plan Manifest) (out []byte, rows map[int]HeadlineRow, c salvageCounts) {
+	type found struct {
+		frame []byte
+		row   HeadlineRow
 	}
+	newest := make(map[int]found)
+	size := 0
+	for _, data := range logs {
+		covered := walkFrames(data, true, func(rec TrialRecord, ref FrameRef) {
+			c.decoded++
+			if !plan.plans(rec) {
+				c.dropped++
+				return
+			}
+			if old, dup := newest[rec.Trial]; dup {
+				c.superseded++
+				size -= len(old.frame)
+			}
+			newest[rec.Trial] = found{data[ref.Off : ref.Off+ref.Len], rowFrom(rec, FrameRef{})}
+			size += int(ref.Len)
+		})
+		c.torn += int64(len(data)) - covered
+	}
+	out = make([]byte, 0, size)
+	rows = make(map[int]HeadlineRow, len(newest))
 	for _, t := range sortedTrials(newest) {
-		kept = append(kept, newest[t])
+		f := newest[t]
+		f.row.ref = FrameRef{Off: int64(len(out)), Len: int64(len(f.frame))}
+		rows[t] = f.row
+		out = append(out, f.frame...)
 	}
-	return kept, dropped
+	return out, rows, c
 }

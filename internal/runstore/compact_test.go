@@ -7,7 +7,6 @@ import (
 	"hash/crc32"
 	"io"
 	"os"
-	"path/filepath"
 	"testing"
 
 	"shadowmeter/internal/telemetry"
@@ -15,7 +14,7 @@ import (
 
 // frameBytes encodes one record as a raw log frame, for tests that
 // plant frames the Store API would refuse (duplicates, foreign configs).
-func frameBytes(t *testing.T, rec TrialRecord) []byte {
+func frameBytes(t testing.TB, rec TrialRecord) []byte {
 	t.Helper()
 	payload, err := json.Marshal(rec)
 	if err != nil {
@@ -57,7 +56,7 @@ func TestFailedAppendRollsBack(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	durable, err := os.Stat(LogPath(dir))
@@ -74,7 +73,7 @@ func TestFailedAppendRollsBack(t *testing.T) {
 		}
 		return n, io.ErrShortWrite
 	}
-	if err := s.Append(testRecord(1)); err == nil {
+	if _, err := s.AppendIndexed(testRecord(1)); err == nil {
 		t.Fatal("short-write append reported success")
 	}
 	torn, err := os.Stat(LogPath(dir))
@@ -88,19 +87,17 @@ func TestFailedAppendRollsBack(t *testing.T) {
 	// The next append must truncate the torn bytes away and land its
 	// frame at the durable end — not after the garbage.
 	s.writeHook = nil
-	if err := s.Append(testRecord(1)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
 		t.Fatalf("append after rollback: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
-	// A from-scratch scan (no sidecars) must see both records and no torn
+	// A from-scratch scan (no sidecar) must see both records and no torn
 	// tail: the log is clean, not merely indexed around the damage.
-	for _, name := range []string{indexName, headlinesName} {
-		if err := os.Remove(filepath.Join(dir, name)); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(HeadlinesPath(dir)); err != nil {
+		t.Fatal(err)
 	}
 	set := telemetry.NewSet()
 	r, err := Open(dir, set)
@@ -126,10 +123,10 @@ func TestCompactNewestWins(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(1)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -172,7 +169,7 @@ func TestCompactNewestWins(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Reopen cold: the compacted log plus fresh sidecars must agree.
+	// Reopen cold: the compacted log plus the fresh sidecar must agree.
 	r, err := Open(dir, telemetry.NewSet())
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +194,7 @@ func TestCompactCleanStoreIsByteStable(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -242,7 +239,7 @@ func TestCompactCrashSafety(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -294,7 +291,7 @@ func TestCompactReadOnlyRefused(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -308,4 +305,122 @@ func TestCompactReadOnlyRefused(t *testing.T) {
 	if _, err := r.Compact(); err == nil {
 		t.Error("Compact on a read-only store did not fail")
 	}
+}
+
+// TestCompactDropsOffPlanFrames: a record off the campaign plan — a seed
+// the plan does not give its trial, or a trial past the plan — can never
+// be resumed, since the runner checks the seed, and while it is stored
+// the trial's re-run is refused as "already stored". Compact must drop
+// such records, as Merge does, so the trial appends again.
+func TestCompactDropsOffPlanFrames(t *testing.T) {
+	dir := t.TempDir() + "/camp"
+	s, err := Create(dir, testManifest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := testRecord(1)
+	stale.Seed = 99
+	for _, rec := range []TrialRecord{testRecord(0), stale, testRecord(4)} {
+		if _, err := s.AppendIndexed(rec); err != nil {
+			t.Fatalf("append trial %d seed %d: %v", rec.Trial, rec.Seed, err)
+		}
+	}
+	cs, err := s.Compact()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cs.Kept != 1 || cs.DroppedFrames != 2 {
+		t.Errorf("compact stats = %+v, want 1 kept and 2 dropped", cs)
+	}
+	for _, trial := range []int{1, 4} {
+		if _, ok, err := s.Get(trial); ok || err != nil {
+			t.Errorf("Get(%d) after compact = ok %v, err %v; want the off-plan record gone", trial, ok, err)
+		}
+	}
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
+		t.Fatalf("re-running trial 1 after compact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := Open(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	recs := storedRecords(t, r)
+	if len(recs) != 2 || recs[1].Trial != 1 || recs[1].Seed != 101 {
+		t.Errorf("reopened store holds %+v, want trials 0 and 1 on plan", recs)
+	}
+}
+
+// FuzzSalvage feeds arbitrary bytes, split into two source logs, to
+// salvage under the test campaign's plan. It must never panic.
+// Every output frame must decode, in ascending trial order with one
+// frame per trial; each must appear byte for byte in the input, pass
+// the plan's keep rule and be the frame its row points at. Salvaging the
+// output again must return it unchanged. A crasher lands in
+// testdata/fuzz/FuzzSalvage and belongs in the commit.
+func FuzzSalvage(f *testing.F) {
+	man := testManifest()
+	dir := f.TempDir() + "/camp"
+	s, err := Create(dir, man, nil)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
+			f.Fatal(err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		f.Fatal(err)
+	}
+	two, err := os.ReadFile(LogPath(dir))
+	if err != nil {
+		f.Fatal(err)
+	}
+	first, second := frameBytes(f, testRecord(0)), frameBytes(f, testRecord(1))
+	newer := testRecord(1)
+	newer.Headline["captures"] = 777
+	foreign := testRecord(2)
+	foreign.ConfigHash = "cfg-other"
+	offPlan := testRecord(3)
+	offPlan.Seed = 99
+	cat := func(parts ...[]byte) []byte { return bytes.Join(parts, nil) }
+	f.Add(two, uint16(0))
+	f.Add(cat(first, []byte("garbage between frames"), second), uint16(len(first)))
+	f.Add(two[:len(two)-5], uint16(0))
+	f.Add(cat(first, second, frameBytes(f, newer)), uint16(len(first)+len(second)))
+	f.Add(cat(two, frameBytes(f, foreign)), uint16(0))
+	f.Add(cat(frameBytes(f, offPlan), two), uint16(3))
+	f.Fuzz(func(t *testing.T, data []byte, cut uint16) {
+		k := int(cut) % (len(data) + 1)
+		out, rows, c := salvage([][]byte{data[:k], data[k:]}, man)
+		if c.decoded != len(rows)+c.superseded+c.dropped {
+			t.Fatalf("counts %+v do not add up to %d rows", c, len(rows))
+		}
+		prev, n := -1, 0
+		covered := walkFrames(out, false, func(rec TrialRecord, ref FrameRef) {
+			frame := out[ref.Off : ref.Off+ref.Len]
+			switch {
+			case rec.Trial <= prev:
+				t.Fatalf("trial %d follows trial %d", rec.Trial, prev)
+			case !man.plans(rec):
+				t.Fatalf("kept trial %d seed %d hash %q is off the plan", rec.Trial, rec.Seed, rec.ConfigHash)
+			case !bytes.Contains(data, frame):
+				t.Fatalf("trial %d frame is not a frame of the input", rec.Trial)
+			case rows[rec.Trial].ref != ref:
+				t.Fatalf("trial %d row points at %+v, frame is at %+v", rec.Trial, rows[rec.Trial].ref, ref)
+			}
+			prev, n = rec.Trial, n+1
+		})
+		if covered != int64(len(out)) || n != len(rows) {
+			t.Fatalf("%d of %d output bytes decode as %d frames for %d rows", covered, len(out), n, len(rows))
+		}
+		again, rows2, c2 := salvage([][]byte{out}, man)
+		if !bytes.Equal(again, out) || !sameRows(rows2, rows) || c2.decoded != n || c2.torn != 0 {
+			t.Fatalf("salvaging the output changed it: %d -> %d bytes, counts %+v", len(out), len(again), c2)
+		}
+	})
 }

@@ -2,12 +2,12 @@
 //
 // The shard data plane (`shadowmeter -shard i/N`) leaves one store per
 // worker, each holding a disjoint slice of the trial plan. Merge walks
-// every source log with the same salvage scan compaction uses —
+// every source log with the salvage pass compaction uses —
 // resynchronizing on the frame magic, so a torn shard log costs at most
 // its torn record — and assembles the newest valid record per trial
 // across all sources, copying frame bytes verbatim (records are never
 // re-encoded, so the merged store is byte-identical to one written by
-// an unsharded run). The merged log and sidecars are published first
+// an unsharded run). The merged log and sidecar are published first
 // and the manifest last, through the same atomic tmp+fsync+rename path
 // as every other campaign artifact: until the manifest lands, the
 // destination "holds no campaign", so a crash mid-merge can never leave
@@ -47,11 +47,12 @@ type MergeStats struct {
 // Merge folds the source campaign stores into a fresh campaign at dst.
 // Every source must carry the same config hash, base seed, and scale —
 // shard stores of one campaign — and dst must not already hold a
-// campaign. The merged trial plan is the largest source plan; the
-// merged manifest carries MergedFrom provenance and clears any shard
-// geometry. Sources are read without opening them as stores, so merging
-// never mutates a shard (a live worker's store is safe to lose a race
-// with — its in-flight record simply does not decode yet).
+// campaign. The merged trial plan is the largest source plan, and it is
+// also the keep rule, as in Compact; the merged manifest carries
+// MergedFrom provenance and clears any shard geometry. Sources are read
+// without opening them as stores, so merging never mutates a shard (a
+// live worker's store is safe to lose a race with — its in-flight record
+// simply does not decode yet).
 func Merge(dst string, srcs []string, set *telemetry.Set) (Manifest, MergeStats, error) {
 	var st MergeStats
 	if len(srcs) == 0 {
@@ -82,12 +83,10 @@ func Merge(dst string, srcs []string, set *telemetry.Set) (Manifest, MergeStats,
 
 	s := newStore(dst, man, set, false)
 
-	// Newest record per trial across all sources: within a source, file
-	// order is recency order (appends only go forward); across sources,
-	// argument order is — a later-listed shard supersedes an earlier one
-	// on overlap, matching compaction's newest-record-wins rule.
-	newest := make(map[int][]byte)
-	rows := make(map[int]HeadlineRow)
+	// Sources are salvaged in argument order, so a later-listed shard
+	// supersedes an earlier one on overlap, as a later frame supersedes
+	// an earlier one within a log.
+	var logs [][]byte
 	for _, src := range srcs {
 		data, err := os.ReadFile(LogPath(src))
 		if err != nil {
@@ -97,50 +96,15 @@ func Merge(dst string, srcs []string, set *telemetry.Set) (Manifest, MergeStats,
 			return Manifest{}, st, fmt.Errorf("runstore: reading shard log %s: %w", src, err)
 		}
 		s.m.bytesRead.Add(int64(len(data)))
-		valid, decoded := int64(0), int64(0)
-		off := 0
-		for off+headerSize <= len(data) {
-			rec, n, ok := decodeFrame(data[off:])
-			if !ok {
-				// Not a frame boundary — torn or corrupt bytes. Resync at
-				// the next magic so one bad frame costs one record, not
-				// the rest of the shard.
-				next := indexOfMagic(data, off+1)
-				if next < 0 {
-					break
-				}
-				off = next
-				continue
-			}
-			switch {
-			case rec.ConfigHash != man.ConfigHash,
-				rec.Seed != man.BaseSeed+int64(rec.Trial),
-				rec.Trial < 0 || rec.Trial >= man.Trials:
-				st.Dropped++
-			default:
-				if _, dup := newest[rec.Trial]; dup {
-					st.Superseded++
-				}
-				newest[rec.Trial] = data[off : off+n]
-				rows[rec.Trial] = rowFrom(rec)
-			}
-			valid += int64(n)
-			decoded++
-			off += n
-		}
-		st.TornBytes += int64(len(data)) - valid
-		s.m.recordsRead.Add(decoded)
+		logs = append(logs, data)
 	}
-
-	var out []byte
-	frames := make(map[int]FrameRef, len(newest))
-	for _, t := range sortedTrials(newest) {
-		frame := newest[t]
-		frames[t] = FrameRef{Off: int64(len(out)), Len: int64(len(frame))}
-		out = append(out, frame...)
-	}
+	out, rows, sv := salvage(logs, man)
+	s.m.recordsRead.Add(int64(sv.decoded))
 	st.Sources = len(srcs)
-	st.Records = len(frames)
+	st.Records = len(rows)
+	st.Superseded = sv.superseded
+	st.Dropped = sv.dropped
+	st.TornBytes = sv.torn
 	st.Bytes = int64(len(out))
 
 	if err := os.MkdirAll(dst, 0o755); err != nil {
@@ -150,9 +114,8 @@ func Merge(dst string, srcs []string, set *telemetry.Set) (Manifest, MergeStats,
 		return Manifest{}, st, err
 	}
 	s.end = st.Bytes
-	s.frames = frames
 	s.rows = rows
-	if err := s.publishSidecarsLocked(); err != nil {
+	if err := s.publishSidecarLocked(); err != nil {
 		return Manifest{}, st, err
 	}
 	// The manifest is the commit point: published last, so a crash

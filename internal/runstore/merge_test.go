@@ -17,7 +17,7 @@ func makeShard(t *testing.T, dir string, man Manifest, trials ...int) {
 		t.Fatal(err)
 	}
 	for _, tr := range trials {
-		if err := s.Append(testRecord(tr)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(tr)); err != nil {
 			t.Fatalf("append %d: %v", tr, err)
 		}
 	}
@@ -98,7 +98,7 @@ func TestMergeOverlapNewestWins(t *testing.T) {
 	}
 	rec := testRecord(1)
 	rec.Headline["captures"] = 999
-	if err := s.Append(rec); err != nil {
+	if _, err := s.AppendIndexed(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -177,7 +177,10 @@ func TestMergeTornShardLog(t *testing.T) {
 	}
 
 	// Mid-log garbage: both records survive, the junk is skipped.
-	_, offs, _ := scanRecords(data)
+	offs, err := LogOffsets(a)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(offs) != 2 {
 		t.Fatalf("fixture has %d records, want 2", len(offs))
 	}
@@ -231,10 +234,8 @@ func TestMergeV1Shard(t *testing.T) {
 		}
 		if v == 1 {
 			// v1 stores carried no sidecars.
-			for _, name := range []string{indexName, headlinesName} {
-				if err := os.Remove(filepath.Join(a, name)); err != nil {
-					t.Fatal(err)
-				}
+			if err := os.Remove(HeadlinesPath(a)); err != nil {
+				t.Fatal(err)
 			}
 		}
 		logBefore, err := os.ReadFile(LogPath(a))
@@ -310,7 +311,7 @@ func TestMergeDropsForeignRecords(t *testing.T) {
 	}
 	rec := testRecord(2)
 	rec.ConfigHash = "cfg-other"
-	if err := s.Append(rec); err != nil {
+	if _, err := s.AppendIndexed(rec); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {

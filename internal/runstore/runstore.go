@@ -7,8 +7,8 @@
 //
 //	<dir>/manifest.json   versioned manifest: config hash, seed range
 //	<dir>/trials.log      length-prefixed, CRC32-checksummed records
-//	<dir>/index.bin       per-trial frame offset/length index (cache)
-//	<dir>/headlines.col   columnar per-trial headline stats (cache)
+//	<dir>/headlines.col   per-trial index: frame offset/length and
+//	                      columnar headline stats (cache)
 //
 // The manifest is written via tmp-file + fsync + rename + dir-fsync
 // (atomic on POSIX), so a crash never leaves a half-written manifest.
@@ -23,13 +23,16 @@
 // the store loses at most the trial that was being written, never a
 // completed one.
 //
-// index.bin and headlines.col are derived caches, rebuilt from the log
-// whenever they are missing or stale (their recorded log size no longer
-// matches the file) and republished atomically on Close and Compact.
-// With a valid index, Open, resume existence checks and per-trial reads
-// are O(1) seeks instead of whole-log scans, and the columnar headline
-// file serves cross-campaign diff and time-windowed retention without
+// headlines.col is a derived cache, rebuilt from the log whenever it is
+// missing or stale (its recorded log size no longer matches the file)
+// and republished atomically on Close, Compact and Merge. With a valid
+// index, Open, resume existence checks and per-trial reads are O(1)
+// seeks instead of whole-log scans, and the columnar headline stats
+// serve cross-campaign diff and time-windowed retention without
 // touching the event log at all — index once, O(1) lookups forever.
+//
+// One function reads the frame layout (walkFrames) and one rebuilds a
+// log from salvaged frames (salvage, shared by Compact and Merge).
 //
 // The store assumes a single writing process per campaign directory (the
 // batch runner); readers (cmd/shadowstore) open read-only and repair
@@ -85,7 +88,7 @@ const (
 	maxFramePayload = 64 << 20
 )
 
-// errRecordTooLarge is returned by Append and AppendIndexed for a record
+// errRecordTooLarge is returned by AppendIndexed for a record
 // whose encoding exceeds the frame payload bound (64 MiB). Nothing is
 // written.
 var errRecordTooLarge = errors.New("runstore: record exceeds the 64 MiB frame bound")
@@ -126,6 +129,16 @@ func (m Manifest) ShardLabel() string {
 		return fmt.Sprintf("merged from %d shards", m.MergedFrom)
 	}
 	return ""
+}
+
+// plans reports whether rec belongs to the campaign's trial plan: the
+// manifest's config hash, a trial inside the plan, and the seed the plan
+// gives that trial. It is the keep rule of both salvage passes, Compact
+// and Merge: a record off the plan can never be resumed (the runner
+// checks the seed), so keeping it would only block the trial's re-run.
+func (m Manifest) plans(rec TrialRecord) bool {
+	return rec.ConfigHash == m.ConfigHash && rec.Trial >= 0 && rec.Trial < m.Trials &&
+		rec.Seed == m.BaseSeed+int64(rec.Trial)
 }
 
 // EventRecord is one unsolicited request in compact, replayable form —
@@ -170,7 +183,8 @@ type FrameRef struct {
 // the summary table, cross-campaign diff and retention *pruning* need,
 // with the full record (events, metrics, spans) left in the log behind
 // an O(1) seek. MinDelayNS/MaxDelayNS bracket the trial's unsolicited
-// event delays (both zero when the trial has none).
+// event delays (both zero when the trial has none). A row is also the
+// store's index entry for its trial: ref locates the record's frame.
 type HeadlineRow struct {
 	Trial      int
 	Seed       int64
@@ -180,6 +194,8 @@ type HeadlineRow struct {
 	MinDelayNS int64
 	MaxDelayNS int64
 	Headline   map[string]float64
+
+	ref FrameRef
 }
 
 // OverlapsDelayWindow reports whether any of the row's unsolicited
@@ -199,7 +215,7 @@ func (r HeadlineRow) OverlapsDelayWindow(from, to int64) bool {
 	return true
 }
 
-func rowFrom(rec TrialRecord) HeadlineRow {
+func rowFrom(rec TrialRecord, ref FrameRef) HeadlineRow {
 	row := HeadlineRow{
 		Trial:    rec.Trial,
 		Seed:     rec.Seed,
@@ -207,6 +223,7 @@ func rowFrom(rec TrialRecord) HeadlineRow {
 		VEndNS:   rec.VEndNS,
 		Events:   len(rec.Events),
 		Headline: rec.Headline,
+		ref:      ref,
 	}
 	for i, ev := range rec.Events {
 		if i == 0 || ev.DelayNS < row.MinDelayNS {
@@ -283,13 +300,12 @@ type Store struct {
 	end   int64
 	dirty bool
 
-	frames map[int]FrameRef
-	rows   map[int]HeadlineRow
+	rows map[int]HeadlineRow
 	// stale marks in-memory index state not yet published to the
-	// sidecar files (cleared by publishSidecarsLocked).
+	// sidecar (cleared by publishSidecarLocked).
 	stale bool
 
-	// writeHook, when non-nil, replaces the log write in Append — a
+	// writeHook, when non-nil, replaces the log write in AppendIndexed — a
 	// test seam for injecting short and failed writes.
 	writeHook func([]byte) (int, error)
 
@@ -304,7 +320,6 @@ func newStore(dir string, man Manifest, set *telemetry.Set, readonly bool) *Stor
 		dir:      dir,
 		manifest: man,
 		readonly: readonly,
-		frames:   make(map[int]FrameRef),
 		rows:     make(map[int]HeadlineRow),
 		m:        newStoreMetrics(set.Registry),
 	}
@@ -380,33 +395,26 @@ func open(dir string, set *telemetry.Set, readonly bool) (*Store, error) {
 	}
 
 	torn := false
-	if s.loadSidecars(logSize) {
-		// Sidecars current: the index tiles the log exactly, so there is
+	if s.loadSidecar(logSize) {
+		// Sidecar current: the index tiles the log exactly, so there is
 		// no torn tail and nothing to scan.
 		s.end = logSize
 		s.m.indexHits.Inc()
 	} else {
-		// Missing or stale sidecars: one full scan rebuilds the index —
+		// Missing or stale sidecar: one full scan rebuilds the index —
 		// the only whole-log read an intact campaign ever pays.
 		data, err := os.ReadFile(LogPath(dir))
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("runstore: reading trial log: %w", err)
 		}
-		recs, offs, valid := scanRecords(data)
-		s.m.recordsRead.Add(int64(len(recs)))
+		s.end = walkFrames(data, false, func(rec TrialRecord, ref FrameRef) {
+			s.rows[rec.Trial] = rowFrom(rec, ref)
+			s.m.recordsRead.Inc()
+		})
 		s.m.bytesRead.Add(int64(len(data)))
 		s.m.indexRebuilds.Inc()
-		for i, r := range recs {
-			next := valid
-			if i+1 < len(offs) {
-				next = offs[i+1]
-			}
-			s.frames[r.Trial] = FrameRef{Off: offs[i], Len: next - offs[i]}
-			s.rows[r.Trial] = rowFrom(r)
-		}
-		s.end = valid
 		s.stale = true
-		torn = int64(len(data)) > valid
+		torn = int64(len(data)) > s.end
 		if torn {
 			s.m.tornTails.Inc()
 		}
@@ -528,18 +536,13 @@ func closeOnErr(f *os.File, primary error) error {
 	return primary
 }
 
-// Append durably persists one trial record: a single frame write
+// AppendIndexed durably persists one trial record: a single frame write
 // followed by fsync. The record's config hash must match the campaign
 // manifest, and each trial index can be stored only once — duplicates
-// mean the caller re-ran a trial that resume should have served.
-func (s *Store) Append(rec TrialRecord) error {
-	_, err := s.AppendIndexed(rec)
-	return err
-}
-
-// AppendIndexed is Append returning where the record's frame landed in
-// the log — the observability plane announces the offset on its
-// store_appended events. The returned ref is zero when err is non-nil.
+// mean the caller re-ran a trial that resume should have served. It
+// returns where the record's frame landed in the log — the
+// observability plane announces the offset on its store_appended
+// events. The returned ref is zero when err is non-nil.
 func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -552,7 +555,7 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 	if rec.ConfigHash != s.manifest.ConfigHash {
 		return FrameRef{}, fmt.Errorf("runstore: record config hash %s does not match campaign %s", rec.ConfigHash, s.manifest.ConfigHash)
 	}
-	if _, dup := s.frames[rec.Trial]; dup {
+	if _, dup := s.rows[rec.Trial]; dup {
 		return FrameRef{}, fmt.Errorf("runstore: trial %d is already stored in %s", rec.Trial, s.dir)
 	}
 	payload, err := json.Marshal(rec)
@@ -560,7 +563,7 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 		return FrameRef{}, fmt.Errorf("runstore: encoding trial %d: %w", rec.Trial, err)
 	}
 	// Every reader refuses a frame over the bound as torn, so writing one
-	// would lose the record (and, without sidecars, the log behind it).
+	// would lose the record (and, without the sidecar, the log behind it).
 	if len(payload) > maxFramePayload {
 		return FrameRef{}, fmt.Errorf("runstore: trial %d encodes to %d bytes: %w", rec.Trial, len(payload), errRecordTooLarge)
 	}
@@ -593,8 +596,7 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 		return FrameRef{}, fmt.Errorf("runstore: syncing trial %d (log rolls back to offset %d): %w", rec.Trial, s.end, err)
 	}
 	ref := FrameRef{Off: s.end, Len: int64(len(frame))}
-	s.frames[rec.Trial] = ref
-	s.rows[rec.Trial] = rowFrom(rec)
+	s.rows[rec.Trial] = rowFrom(rec, ref)
 	s.end += ref.Len
 	s.stale = true
 	s.m.recordsWritten.Inc()
@@ -625,11 +627,11 @@ func (s *Store) rollbackLocked() error {
 func (s *Store) Get(trial int) (TrialRecord, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	ref, ok := s.frames[trial]
+	row, ok := s.rows[trial]
 	if !ok {
 		return TrialRecord{}, false, nil
 	}
-	rec, err := s.readFrameLocked(ref)
+	rec, err := s.readFrameLocked(row.ref)
 	if err != nil {
 		return TrialRecord{}, true, fmt.Errorf("runstore: reading trial %d: %w", trial, err)
 	}
@@ -654,19 +656,21 @@ func (s *Store) readFrameLocked(ref FrameRef) (TrialRecord, error) {
 	}
 	s.m.bytesRead.Add(ref.Len)
 	s.m.indexHits.Inc()
-	recs, _, valid := scanRecords(buf)
-	if len(recs) != 1 || valid != ref.Len {
+	var rec TrialRecord
+	n := 0
+	valid := walkFrames(buf, false, func(r TrialRecord, _ FrameRef) { rec, n = r, n+1 })
+	if n != 1 || valid != ref.Len {
 		return TrialRecord{}, fmt.Errorf("frame at %d+%d does not decode (log corrupted since indexing?)", ref.Off, ref.Len)
 	}
 	s.m.recordsRead.Inc()
-	return recs[0], nil
+	return rec, nil
 }
 
 // Len reports the number of stored trials.
 func (s *Store) Len() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return len(s.frames)
+	return len(s.rows)
 }
 
 // Headlines returns the columnar summary of every stored trial sorted
@@ -722,7 +726,7 @@ func (s *Store) Stats() Stats {
 	}
 }
 
-// Close publishes the sidecar index files (writable stores with
+// Close publishes the sidecar index (writable stores with
 // unpublished appends) and releases the file handles. Safe to call on
 // read-only and already-closed stores.
 func (s *Store) Close() error {
@@ -731,12 +735,12 @@ func (s *Store) Close() error {
 	var errs []error
 	if s.log != nil {
 		// A failed final append may have left torn bytes; drop them so
-		// the on-disk log ends on the durable boundary the sidecars
-		// describe.
+		// the on-disk log ends on the durable boundary the sidecar
+		// describes.
 		if err := s.rollbackLocked(); err != nil {
 			errs = append(errs, err)
 		} else if s.stale {
-			if err := s.publishSidecarsLocked(); err != nil {
+			if err := s.publishSidecarLocked(); err != nil {
 				errs = append(errs, err)
 			}
 		}
@@ -755,25 +759,36 @@ func (s *Store) Close() error {
 	return errors.Join(errs...)
 }
 
-// scanRecords decodes frames until the first torn or corrupt one,
-// reporting each record's start offset and how many bytes were valid.
-// Everything after the first bad frame is unreachable (frames are not
-// self-synchronizing), so a mid-file corruption costs the records behind
-// it — which is why Append rolls back failed writes instead of ever
-// letting torn bytes land mid-log, and why Compact exists to salvage
-// logs that predate that guarantee.
-func scanRecords(data []byte) (recs []TrialRecord, offs []int64, valid int64) {
+// walkFrames calls fn for each record frame in data, in file order,
+// with the frame's place in data, and returns how many bytes those
+// frames cover. It is the one reader of the frame layout. Without
+// resync it stops at the first torn or corrupt frame: frames are not
+// self-synchronizing, so to a plain reader everything after it is
+// unreachable — which is why AppendIndexed rolls back failed writes
+// instead of ever letting torn bytes land mid-log. With resync it skips
+// to the next frame magic instead, the salvage mode that recovers
+// records stranded behind a bad frame in logs that predate that
+// guarantee.
+func walkFrames(data []byte, resync bool, fn func(TrialRecord, FrameRef)) (covered int64) {
 	off := 0
-	for {
+	for off < len(data) {
 		rec, n, ok := decodeFrame(data[off:])
-		if !ok {
+		if ok {
+			fn(rec, FrameRef{Off: int64(off), Len: int64(n)})
+			covered += int64(n)
+			off += n
+			continue
+		}
+		next := -1
+		if resync {
+			next = bytes.Index(data[off+1:], recordMagicBytes)
+		}
+		if next < 0 {
 			break
 		}
-		recs = append(recs, rec)
-		offs = append(offs, int64(off))
-		off += n
+		off += 1 + next
 	}
-	return recs, offs, int64(off)
+	return covered
 }
 
 // decodeFrame decodes the frame at the start of data, returning the
@@ -818,8 +833,8 @@ var recordMagicBytes = binary.BigEndian.AppendUint32(nil, recordMagic)
 // simply does not decode yet, and will on a later read. This is the
 // read-only follower's primitive (shadowstore tail) — it never opens a
 // Store and so can never trigger writable-mode tail repair.
-func DecodeRecords(data []byte) ([]TrialRecord, int64) {
-	recs, _, valid := scanRecords(data)
+func DecodeRecords(data []byte) (recs []TrialRecord, valid int64) {
+	valid = walkFrames(data, false, func(rec TrialRecord, _ FrameRef) { recs = append(recs, rec) })
 	return recs, valid
 }
 
@@ -832,7 +847,8 @@ func LogOffsets(dir string) ([]int64, error) {
 	if err != nil {
 		return nil, err
 	}
-	_, offs, _ := scanRecords(data)
+	var offs []int64
+	walkFrames(data, false, func(_ TrialRecord, ref FrameRef) { offs = append(offs, ref.Off) })
 	return offs, nil
 }
 
@@ -848,7 +864,7 @@ func writeManifest(dir string, man Manifest) error {
 // publishFile atomically replaces <dir>/<name> with payload: tmp-file
 // write, fsync, rename, dir-fsync — the crash-safe publish every
 // non-log artifact in the campaign directory (manifest, sidecar index,
-// columnar headlines, compacted log) goes through.
+// compacted or merged log) goes through.
 func publishFile(dir, name string, payload []byte) error {
 	path := filepath.Join(dir, name)
 	tmp := path + ".tmp"
@@ -924,18 +940,4 @@ func HashJSON(v any) (string, error) {
 	salted := append([]byte(fmt.Sprintf("runstore/v%d\n", hashSchemaVersion)), b...)
 	sum := sha256.Sum256(salted)
 	return hex.EncodeToString(sum[:]), nil
-}
-
-// indexOfMagic returns the offset of the next possible frame start at
-// or after from, or -1 — the resynchronization primitive compaction
-// uses to salvage records stranded behind a bad frame.
-func indexOfMagic(data []byte, from int) int {
-	if from > len(data) {
-		return -1
-	}
-	i := bytes.Index(data[from:], recordMagicBytes)
-	if i < 0 {
-		return -1
-	}
-	return from + i
 }

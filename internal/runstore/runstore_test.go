@@ -65,7 +65,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatalf("append %d: %v", i, err)
 		}
 	}
@@ -115,7 +115,7 @@ func TestRoundTrip(t *testing.T) {
 		t.Errorf("records_read = %d, want 4", n)
 	}
 	if n := counterValue(t, set, "runstore_index_rebuilds_total"); n != 0 {
-		t.Errorf("index_rebuilds = %d, want 0 (sidecars were published on Close)", n)
+		t.Errorf("index_rebuilds = %d, want 0 (the sidecar was published on Close)", n)
 	}
 	if n := counterValue(t, set, "runstore_index_hits_total"); n == 0 {
 		t.Error("index_hits = 0, want indexed open + lookups")
@@ -135,7 +135,7 @@ func TestTornTailRecovery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -168,7 +168,7 @@ func TestTornTailRecovery(t *testing.T) {
 
 	// The truncated log must accept the replacement record and read back
 	// clean: recovery is complete, not just tolerated.
-	if err := r.Append(testRecord(2)); err != nil {
+	if _, err := r.AppendIndexed(testRecord(2)); err != nil {
 		t.Fatalf("append after recovery: %v", err)
 	}
 	if err := r.Close(); err != nil {
@@ -195,10 +195,10 @@ func TestReadOnlyLeavesTornTail(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(1)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -225,7 +225,7 @@ func TestReadOnlyLeavesTornTail(t *testing.T) {
 	if n := counterValue(t, set, "runstore_torn_tail_total"); n != 1 {
 		t.Errorf("torn counter = %d, want 1", n)
 	}
-	if err := r.Append(testRecord(2)); err == nil {
+	if _, err := r.AppendIndexed(testRecord(2)); err == nil {
 		t.Error("Append on read-only store did not fail")
 	}
 	after, err := os.Stat(logp)
@@ -244,15 +244,15 @@ func TestAppendValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer s.Close()
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err == nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err == nil {
 		t.Error("duplicate trial append did not fail")
 	}
 	bad := testRecord(1)
 	bad.ConfigHash = "other"
-	if err := s.Append(bad); err == nil {
+	if _, err := s.AppendIndexed(bad); err == nil {
 		t.Error("config-hash mismatch append did not fail")
 	}
 }
@@ -264,7 +264,7 @@ func TestOpenOrCreate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -401,7 +401,7 @@ func TestLogOffsets(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -460,16 +460,16 @@ func TestHashJSON(t *testing.T) {
 
 // TestAppendRefusesOversizedRecord appends a record whose encoding passes
 // the 64 MiB frame bound. Readers treat such a frame as torn, so the append
-// must fail and leave the log, the frame map and the sidecars as they
+// must fail and leave the log, the index and the sidecar as they
 // were; the store must then take a normal record, and a reopen without
-// sidecars (as after a crash before Close) must find no torn tail.
+// sidecar (as after a crash before Close) must find no torn tail.
 func TestAppendRefusesOversizedRecord(t *testing.T) {
 	dir := t.TempDir() + "/camp"
 	s, err := Create(dir, testManifest(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	logp := LogPath(dir)
@@ -500,16 +500,14 @@ func TestAppendRefusesOversizedRecord(t *testing.T) {
 	if _, ok, _ := s.Get(1); ok {
 		t.Fatal("the refused trial is in the frame map")
 	}
-	if err := s.Append(testRecord(1)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
 		t.Fatalf("append after the refusal: %v", err)
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, side := range []string{IndexPath(dir), HeadlinesPath(dir)} {
-		if err := os.Remove(side); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(HeadlinesPath(dir)); err != nil {
+		t.Fatal(err)
 	}
 	set := telemetry.NewSet()
 	r, err := Open(dir, set)

@@ -1,26 +1,22 @@
-// Sidecar caches: the per-trial frame index (index.bin) and the
-// columnar headline file (headlines.col).
+// Sidecar cache: the per-trial index (headlines.col), one row per
+// stored trial locating its frame and carrying its headline stats.
 //
-// Both are pure derivations of trials.log — losing them costs one
-// rebuild scan, never data — and both are stamped with the log size
-// they were built from, so any append or truncation since publication
-// makes them detectably stale. They are published atomically (tmp +
-// fsync + rename + dir-fsync) on Close and after Compact, and carry a
+// It is a pure derivation of trials.log — losing it costs one rebuild
+// scan, never data — and it is stamped with the log size it was built
+// from, so any append or truncation since publication makes it
+// detectably stale. It is published atomically (tmp + fsync + rename +
+// dir-fsync) on Close and after Compact and Merge, and carries a
 // trailing CRC32 so a torn sidecar is treated as stale rather than
-// trusted.
-//
-// index.bin (all integers big-endian):
-//
-//	u32 magic "SHX1" | u32 version | u64 log size | u32 entry count
-//	count × { u64 trial, u64 offset, u64 frame length }
-//	u32 CRC32 of everything above
+// trusted. A file of another version (version 1, written by older
+// builds next to a separate index.bin) is stale the same way.
 //
 // headlines.col is column-major so an analysis touching two of the
-// fixed columns (say seed and max delay) reads two contiguous runs:
+// fixed columns (say seed and max delay) reads two contiguous runs
+// (all integers big-endian):
 //
-//	u32 magic "SHC1" | u32 version | u64 log size | u32 rows | u32 keys
-//	7 fixed i64 columns × rows: trial, seed, vstart, vend,
-//	    event count, min delay, max delay
+//	u32 magic "SHC1" | u32 version 2 | u64 log size | u32 rows | u32 keys
+//	9 fixed i64 columns × rows: trial, seed, vstart, vend,
+//	    event count, min delay, max delay, frame offset, frame length
 //	keys × { u16 name length, name bytes }   (sorted)
 //	keys × { presence bitmap ceil(rows/8), rows × f64 values }
 //	u32 CRC32 of everything above
@@ -42,13 +38,10 @@ import (
 )
 
 const (
-	indexName     = "index.bin"
 	headlinesName = "headlines.col"
 
-	indexMagic     = 0x53485831 // "SHX1"
-	indexVersion   = 1
 	colMagic       = 0x53484331 // "SHC1"
-	colVersion     = 1
+	colVersion     = 2
 	maxSidecarSize = 1 << 30
 	// maxSidecarEntries bounds decoded row/key counts before they size
 	// anything — like maxFramePayload, a corrupt count must not turn
@@ -56,19 +49,13 @@ const (
 	maxSidecarEntries = 1 << 26
 )
 
-// IndexPath returns the frame-index location inside a campaign dir.
-func IndexPath(dir string) string { return filepath.Join(dir, indexName) }
-
-// HeadlinesPath returns the columnar headline-file location inside a
-// campaign dir.
+// HeadlinesPath returns the sidecar index location inside a campaign
+// dir.
 func HeadlinesPath(dir string) string { return filepath.Join(dir, headlinesName) }
 
-// publishSidecarsLocked writes both sidecars for the current in-memory
-// index state. Caller holds s.mu.
-func (s *Store) publishSidecarsLocked() error {
-	if err := publishFile(s.dir, indexName, encodeIndex(s.end, s.frames)); err != nil {
-		return err
-	}
+// publishSidecarLocked writes the sidecar for the current in-memory
+// index. Caller holds s.mu.
+func (s *Store) publishSidecarLocked() error {
 	if err := publishFile(s.dir, headlinesName, encodeHeadlines(s.end, s.rows)); err != nil {
 		return err
 	}
@@ -76,40 +63,26 @@ func (s *Store) publishSidecarsLocked() error {
 	return nil
 }
 
-// loadSidecars loads both sidecar files if they exist, parse, carry the
-// current log size, and agree with each other; it reports whether the
-// in-memory index was populated. Any inconsistency — missing file, CRC
-// or size mismatch, frames that do not tile the log — just means
-// "rebuild by scanning", never an error: sidecars are caches.
-func (s *Store) loadSidecars(logSize int64) bool {
-	idxData, err := os.ReadFile(IndexPath(s.dir))
+// loadSidecar loads the sidecar if it exists, parses, carries the
+// current log size, and its frames tile the log; it reports whether the
+// in-memory index was populated. Any inconsistency — missing file, CRC,
+// version or size mismatch, frames that do not tile the log — just
+// means "rebuild by scanning", never an error: the sidecar is a cache.
+func (s *Store) loadSidecar(logSize int64) bool {
+	data, err := os.ReadFile(HeadlinesPath(s.dir))
 	if err != nil {
 		return false
 	}
-	colData, err := os.ReadFile(HeadlinesPath(s.dir))
-	if err != nil {
-		return false
-	}
-	idxSize, frames, err := decodeIndex(idxData)
-	if err != nil || idxSize != logSize {
-		return false
-	}
-	colSize, rows, err := decodeHeadlines(colData)
-	if err != nil || colSize != logSize {
-		return false
-	}
-	if len(frames) != len(rows) {
+	size, rows, err := decodeHeadlines(data)
+	if err != nil || size != logSize {
 		return false
 	}
 	// The frames must tile [0, logSize) exactly: contiguous, in-bounds,
-	// ending at the size the sidecars were stamped with. Anything else
+	// ending at the size the sidecar was stamped with. Anything else
 	// means the log changed in a way the size check missed.
-	refs := make([]FrameRef, 0, len(frames))
-	for t, ref := range frames {
-		if _, ok := rows[t]; !ok {
-			return false
-		}
-		refs = append(refs, ref)
+	refs := make([]FrameRef, 0, len(rows))
+	for _, row := range rows {
+		refs = append(refs, row.ref)
 	}
 	sort.Slice(refs, func(i, j int) bool { return refs[i].Off < refs[j].Off })
 	var at int64
@@ -122,55 +95,9 @@ func (s *Store) loadSidecars(logSize int64) bool {
 	if at != logSize {
 		return false
 	}
-	s.frames = frames
 	s.rows = rows
-	s.m.bytesRead.Add(int64(len(idxData) + len(colData)))
+	s.m.bytesRead.Add(int64(len(data)))
 	return true
-}
-
-func encodeIndex(logSize int64, frames map[int]FrameRef) []byte {
-	trials := sortedTrials(frames)
-	buf := make([]byte, 0, 20+24*len(trials)+4)
-	buf = binary.BigEndian.AppendUint32(buf, indexMagic)
-	buf = binary.BigEndian.AppendUint32(buf, indexVersion)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(logSize))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(trials)))
-	for _, t := range trials {
-		ref := frames[t]
-		buf = binary.BigEndian.AppendUint64(buf, uint64(t))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ref.Off))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(ref.Len))
-	}
-	return binary.BigEndian.AppendUint32(buf, crc32.ChecksumIEEE(buf))
-}
-
-func decodeIndex(data []byte) (int64, map[int]FrameRef, error) {
-	body, err := checkSidecar(data, indexMagic, indexVersion)
-	if err != nil {
-		return 0, nil, err
-	}
-	if len(body) < 12 {
-		return 0, nil, errors.New("truncated index header")
-	}
-	logSize := int64(binary.BigEndian.Uint64(body))
-	n := int(binary.BigEndian.Uint32(body[8:]))
-	body = body[12:]
-	if n < 0 || n > maxSidecarEntries || len(body) != 24*n {
-		return 0, nil, fmt.Errorf("index entry section is %d bytes, want %d", len(body), 24*n)
-	}
-	frames := make(map[int]FrameRef, n)
-	for i := 0; i < n; i++ {
-		e := body[24*i:]
-		trial := int(int64(binary.BigEndian.Uint64(e)))
-		frames[trial] = FrameRef{
-			Off: int64(binary.BigEndian.Uint64(e[8:])),
-			Len: int64(binary.BigEndian.Uint64(e[16:])),
-		}
-	}
-	if len(frames) != n {
-		return 0, nil, errors.New("duplicate trials in index")
-	}
-	return logSize, frames, nil
 }
 
 func encodeHeadlines(logSize int64, rows map[int]HeadlineRow) []byte {
@@ -188,7 +115,7 @@ func encodeHeadlines(logSize int64, rows map[int]HeadlineRow) []byte {
 	}
 	sort.Strings(keys)
 
-	buf := make([]byte, 0, 24+7*8*n+len(keys)*(8*n+n/8+16)+4)
+	buf := make([]byte, 0, 24+len(fixedColumns)*8*n+len(keys)*(8*n+n/8+16)+4)
 	buf = binary.BigEndian.AppendUint32(buf, colMagic)
 	buf = binary.BigEndian.AppendUint32(buf, colVersion)
 	buf = binary.BigEndian.AppendUint64(buf, uint64(logSize))
@@ -220,7 +147,7 @@ func encodeHeadlines(logSize int64, rows map[int]HeadlineRow) []byte {
 }
 
 func decodeHeadlines(data []byte) (int64, map[int]HeadlineRow, error) {
-	body, err := checkSidecar(data, colMagic, colVersion)
+	body, err := checkSidecar(data)
 	if err != nil {
 		return 0, nil, err
 	}
@@ -231,7 +158,7 @@ func decodeHeadlines(data []byte) (int64, map[int]HeadlineRow, error) {
 	n := int(binary.BigEndian.Uint32(body[8:]))
 	k := int(binary.BigEndian.Uint32(body[12:]))
 	body = body[16:]
-	if n < 0 || n > maxSidecarEntries || k < 0 || k > maxSidecarEntries || len(body) < 7*8*n {
+	if n < 0 || n > maxSidecarEntries || k < 0 || k > maxSidecarEntries || len(body) < len(fixedColumns)*8*n {
 		return 0, nil, errors.New("truncated headline columns")
 	}
 	rowList := make([]HeadlineRow, n)
@@ -288,7 +215,7 @@ func decodeHeadlines(data []byte) (int64, map[int]HeadlineRow, error) {
 	return logSize, rows, nil
 }
 
-// fixedColumns maps the seven per-trial scalar columns to HeadlineRow
+// fixedColumns maps the nine per-trial scalar columns to HeadlineRow
 // fields, in file order. One table serves encode and decode so the two
 // can never disagree on layout.
 var fixedColumns = []struct {
@@ -302,19 +229,21 @@ var fixedColumns = []struct {
 	{func(r HeadlineRow) int64 { return int64(r.Events) }, func(r *HeadlineRow, v int64) { r.Events = int(v) }},
 	{func(r HeadlineRow) int64 { return r.MinDelayNS }, func(r *HeadlineRow, v int64) { r.MinDelayNS = v }},
 	{func(r HeadlineRow) int64 { return r.MaxDelayNS }, func(r *HeadlineRow, v int64) { r.MaxDelayNS = v }},
+	{func(r HeadlineRow) int64 { return r.ref.Off }, func(r *HeadlineRow, v int64) { r.ref.Off = v }},
+	{func(r HeadlineRow) int64 { return r.ref.Len }, func(r *HeadlineRow, v int64) { r.ref.Len = v }},
 }
 
-// checkSidecar validates the magic, version and trailing CRC shared by
-// both sidecar formats and returns the body between header and CRC.
-func checkSidecar(data []byte, magic, version uint32) ([]byte, error) {
+// checkSidecar validates the sidecar's magic, version and trailing CRC
+// and returns the body between header and CRC.
+func checkSidecar(data []byte) ([]byte, error) {
 	if len(data) < 12 || len(data) > maxSidecarSize {
 		return nil, errors.New("implausible sidecar size")
 	}
-	if binary.BigEndian.Uint32(data) != magic {
+	if binary.BigEndian.Uint32(data) != colMagic {
 		return nil, errors.New("bad magic")
 	}
-	if v := binary.BigEndian.Uint32(data[4:]); v != version {
-		return nil, fmt.Errorf("sidecar version %d, want %d", v, version)
+	if v := binary.BigEndian.Uint32(data[4:]); v != colVersion {
+		return nil, fmt.Errorf("sidecar version %d, want %d", v, colVersion)
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.BigEndian.Uint32(trailer) {

@@ -1,6 +1,7 @@
 package runstore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"fmt"
 	"hash/crc32"
@@ -15,9 +16,9 @@ import (
 	"shadowmeter/internal/telemetry"
 )
 
-// TestStaleIndexRebuild: sidecars stamped with a different log size are
-// caches gone stale, not errors — the store falls back to a full scan,
-// counts the rebuild, and (writable) republishes fresh sidecars.
+// TestStaleIndexRebuild: a sidecar stamped with a different log size is
+// a cache gone stale, not an error — the store falls back to a full
+// scan, counts the rebuild, and (writable) republishes a fresh sidecar.
 func TestStaleIndexRebuild(t *testing.T) {
 	dir := t.TempDir() + "/camp"
 	s, err := Create(dir, testManifest(), nil)
@@ -25,7 +26,7 @@ func TestStaleIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -33,7 +34,7 @@ func TestStaleIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Shrink the log behind the sidecars' back: they now describe frames
+	// Shrink the log behind the sidecar's back: it now describes frames
 	// past the end of the file.
 	offs, err := LogOffsets(dir)
 	if err != nil {
@@ -58,7 +59,7 @@ func TestStaleIndexRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Close republished the sidecars; the next open is indexed again.
+	// Close republished the sidecar; the next open is indexed again.
 	set2 := telemetry.NewSet()
 	r2, err := Open(dir, set2)
 	if err != nil {
@@ -85,7 +86,7 @@ func TestCorruptLengthFrame(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(testRecord(0)); err != nil {
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Close(); err != nil {
@@ -116,10 +117,10 @@ func TestCorruptLengthFrame(t *testing.T) {
 	}
 }
 
-// TestMissingSidecarsRebuild: a campaign whose index.bin and
-// headlines.col are gone (a crash before Close published them, or an
-// operator deleting caches) reopens through one log scan, resumes,
-// appends, and republishes both sidecars on Close.
+// TestMissingSidecarsRebuild: a campaign whose headlines.col is gone (a
+// crash before Close published it, or an operator deleting caches)
+// reopens through one log scan, resumes, appends, and republishes the
+// sidecar on Close.
 func TestMissingSidecarsRebuild(t *testing.T) {
 	dir := t.TempDir() + "/camp"
 	s, err := Create(dir, testManifest(), nil)
@@ -127,24 +128,21 @@ func TestMissingSidecarsRebuild(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 2; i++ {
-		if err := s.Append(testRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(testRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	sidecars := []string{filepath.Join(dir, indexName), filepath.Join(dir, headlinesName)}
-	for _, p := range sidecars {
-		if err := os.Remove(p); err != nil {
-			t.Fatal(err)
-		}
+	if err := os.Remove(HeadlinesPath(dir)); err != nil {
+		t.Fatal(err)
 	}
 
 	set := telemetry.NewSet()
 	rw, err := OpenOrCreate(dir, testManifest(), set)
 	if err != nil {
-		t.Fatalf("resuming a campaign without sidecars: %v", err)
+		t.Fatalf("resuming a campaign without a sidecar: %v", err)
 	}
 	if rw.Len() != 2 {
 		t.Fatalf("rebuilt index holds %d records, want 2", rw.Len())
@@ -155,16 +153,14 @@ func TestMissingSidecarsRebuild(t *testing.T) {
 	if got, ok, err := rw.Get(1); err != nil || !ok || got.Seed != 101 {
 		t.Errorf("Get(1) over the rebuilt index = %+v, %v, %v", got, ok, err)
 	}
-	if err := rw.Append(testRecord(2)); err != nil {
+	if _, err := rw.AppendIndexed(testRecord(2)); err != nil {
 		t.Fatalf("appending after the rebuild: %v", err)
 	}
 	if err := rw.Close(); err != nil {
 		t.Fatal(err)
 	}
-	for _, p := range sidecars {
-		if _, err := os.Stat(p); err != nil {
-			t.Errorf("Close did not republish %s: %v", filepath.Base(p), err)
-		}
+	if _, err := os.Stat(HeadlinesPath(dir)); err != nil {
+		t.Errorf("Close did not republish the sidecar: %v", err)
 	}
 
 	set2 := telemetry.NewSet()
@@ -174,7 +170,7 @@ func TestMissingSidecarsRebuild(t *testing.T) {
 	}
 	defer r.Close()
 	if n := counterValue(t, set2, "runstore_index_rebuilds_total"); n != 0 {
-		t.Errorf("index_rebuilds on reopen = %d, want 0 (sidecars republished)", n)
+		t.Errorf("index_rebuilds on reopen = %d, want 0 (sidecar republished)", n)
 	}
 	recs := storedRecords(t, r)
 	if len(recs) != 3 {
@@ -206,7 +202,7 @@ func bigRecord(trial int) TrialRecord {
 
 // TestIndexedReadsAreO1 is the O(1)-seek acceptance test: on a
 // 100-trial campaign, an indexed open plus one Get must read the
-// sidecars and one frame — a small fraction of the log — and never
+// sidecar and one frame — a small fraction of the log — and never
 // trigger a scan.
 func TestIndexedReadsAreO1(t *testing.T) {
 	dir := t.TempDir() + "/camp"
@@ -217,7 +213,7 @@ func TestIndexedReadsAreO1(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 100; i++ {
-		if err := s.Append(bigRecord(i)); err != nil {
+		if _, err := s.AppendIndexed(bigRecord(i)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -248,7 +244,7 @@ func TestIndexedReadsAreO1(t *testing.T) {
 	if stats.RecordsRead != 1 {
 		t.Errorf("records_read = %d, want 1 (only the requested frame decodes)", stats.RecordsRead)
 	}
-	// Sidecars plus one frame must stay well under the log: the 4x
+	// The sidecar plus one frame must stay well under the log: the 4x
 	// margin keeps the assertion meaningful without being brittle.
 	if stats.BytesRead*4 >= fi.Size() {
 		t.Errorf("indexed open+Get read %d bytes of a %d-byte log — not O(record)", stats.BytesRead, fi.Size())
@@ -256,9 +252,9 @@ func TestIndexedReadsAreO1(t *testing.T) {
 }
 
 // sidecarOf wraps a sidecar body in its header and a valid trailing CRC.
-func sidecarOf(magic, version uint32, body []byte) []byte {
-	b := binary.BigEndian.AppendUint32(nil, magic)
-	b = binary.BigEndian.AppendUint32(b, version)
+func sidecarOf(body []byte) []byte {
+	b := binary.BigEndian.AppendUint32(nil, colMagic)
+	b = binary.BigEndian.AppendUint32(b, colVersion)
 	b = append(b, body...)
 	return binary.BigEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
@@ -275,7 +271,7 @@ func hugeKeyCountBody() []byte {
 // count claims 2^26 keys must be refused before the count sizes a key
 // table (which would take 1 GiB).
 func TestDecodeHeadlinesHugeKeyCount(t *testing.T) {
-	data := sidecarOf(colMagic, colVersion, hugeKeyCountBody())
+	data := sidecarOf(hugeKeyCountBody())
 	if len(data) != 28 {
 		t.Fatalf("sidecar is %d bytes, want 28", len(data))
 	}
@@ -317,37 +313,27 @@ func sameRows(a, b map[int]HeadlineRow) bool {
 	return true
 }
 
-// FuzzDecodeSidecars feeds arbitrary bodies to the index.bin (headlines
-// false) and headlines.col decoders behind a valid header and CRC, so
-// the fuzzer reaches the body: no panic, and whatever decodes must
-// re-encode and decode to the same index or rows. A crasher lands in
+// FuzzDecodeSidecars feeds arbitrary bodies to the headlines.col
+// decoder behind a valid header and CRC, so the fuzzer reaches the body:
+// no panic, and whatever decodes must re-encode and decode to the same
+// rows, frame references included. A crasher lands in
 // testdata/fuzz/FuzzDecodeSidecars and belongs in the commit.
 func FuzzDecodeSidecars(f *testing.F) {
-	frames := map[int]FrameRef{0: {Off: 0, Len: 300}, 1: {Off: 300, Len: 280}, 7: {Off: 580, Len: 9000}}
 	rows := map[int]HeadlineRow{}
-	for _, t := range []int{0, 1, 7} {
-		rows[t] = rowFrom(testRecord(t))
+	refs := map[int]FrameRef{0: {Off: 0, Len: 300}, 1: {Off: 300, Len: 280}, 7: {Off: 580, Len: 9000}}
+	for t, ref := range refs {
+		rows[t] = rowFrom(testRecord(t), ref)
 	}
 	delete(rows[1].Headline, "captures")
 	body := func(sidecar []byte) []byte { return sidecar[8 : len(sidecar)-4] }
-	f.Add(false, body(encodeIndex(9580, frames)))
-	f.Add(false, body(encodeIndex(0, nil)))
-	f.Add(true, body(encodeHeadlines(9580, rows)))
-	f.Add(true, body(encodeHeadlines(0, nil)))
-	f.Add(true, hugeKeyCountBody())
-	f.Fuzz(func(t *testing.T, headlines bool, body []byte) {
-		if !headlines {
-			size, frames, err := decodeIndex(sidecarOf(indexMagic, indexVersion, body))
-			if err != nil {
-				return
-			}
-			size2, frames2, err := decodeIndex(encodeIndex(size, frames))
-			if err != nil || size2 != size || !reflect.DeepEqual(frames2, frames) {
-				t.Fatalf("index round trip: size %d -> %d, err %v, frames %v -> %v", size, size2, err, frames, frames2)
-			}
-			return
-		}
-		size, rows, err := decodeHeadlines(sidecarOf(colMagic, colVersion, body))
+	full := body(encodeHeadlines(9580, rows))
+	f.Add(full)
+	f.Add(body(encodeHeadlines(0, nil)))
+	f.Add(hugeKeyCountBody())
+	f.Add(body(encodeHeadlines(300, map[int]HeadlineRow{0: {ref: FrameRef{Len: 300}}})))
+	f.Add(full[:len(full)/2])
+	f.Fuzz(func(t *testing.T, body []byte) {
+		size, rows, err := decodeHeadlines(sidecarOf(body))
 		if err != nil {
 			return
 		}
@@ -356,4 +342,85 @@ func FuzzDecodeSidecars(f *testing.F) {
 			t.Fatalf("headline round trip: size %d -> %d, err %v, rows %v -> %v", size, size2, err, rows, rows2)
 		}
 	})
+}
+
+// TestOlderBuildSidecarsRebuild opens a campaign whose sidecars an older
+// build wrote: testdata/legacy-sidecars holds trials 0 and 1 with an
+// index.bin and a version-1 headlines.col. This build treats the old
+// headlines.col as stale and rebuilds with exactly one scan, exactly as
+// with no sidecar at all; the campaign then resumes byte-identically to
+// one this build wrote, and after Close opens indexed.
+func TestOlderBuildSidecarsRebuild(t *testing.T) {
+	dir := t.TempDir()
+	for _, name := range []string{manifestName, logName, "index.bin", headlinesName} {
+		b, err := os.ReadFile(filepath.Join("testdata", "legacy-sidecars", name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, name), b, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	set := telemetry.NewSet()
+	s, err := OpenOrCreate(dir, testManifest(), set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := counterValue(t, set, "runstore_index_rebuilds_total"); n != 1 {
+		t.Errorf("index_rebuilds = %d, want 1", n)
+	}
+	if n := counterValue(t, set, "runstore_torn_tail_total"); n != 0 {
+		t.Errorf("torn_tail = %d, want 0", n)
+	}
+	for i, rec := range storedRecords(t, s) {
+		if rec.Trial != i || rec.Seed != 100+int64(i) {
+			t.Errorf("record %d = trial %d seed %d", i, rec.Trial, rec.Seed)
+		}
+	}
+	if _, err := s.AppendIndexed(testRecord(2)); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	fresh := t.TempDir() + "/camp"
+	w, err := Create(fresh, testManifest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := w.AppendIndexed(testRecord(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	for _, path := range []func(string) string{LogPath, HeadlinesPath} {
+		got, err := os.ReadFile(path(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := os.ReadFile(path(fresh))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("resumed %s differs from a freshly written one", filepath.Base(path(dir)))
+		}
+	}
+
+	set2 := telemetry.NewSet()
+	r, err := Open(dir, set2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if n := counterValue(t, set2, "runstore_index_rebuilds_total"); n != 0 {
+		t.Errorf("index_rebuilds after Close = %d, want 0", n)
+	}
+	if r.Len() != 3 {
+		t.Errorf("reopened store holds %d records, want 3", r.Len())
+	}
 }

@@ -1,5 +1,5 @@
 // Package stats provides the small statistical toolkit used by the
-// shadowmeter analysis pipeline: empirical CDFs, histograms, percentiles,
+// shadowmeter analysis pipeline: empirical CDFs, histograms,
 // counters with ranked output, and plain-text table rendering.
 //
 // Everything in this package is deterministic and allocation-conscious; the
@@ -55,26 +55,6 @@ func (c *CDF) At(x float64) float64 {
 	return float64(i) / float64(len(c.samples))
 }
 
-// Percentile returns the p-th percentile (p in [0,100]) using nearest-rank.
-// It returns 0 for an empty CDF.
-func (c *CDF) Percentile(p float64) float64 {
-	if len(c.samples) == 0 {
-		return 0
-	}
-	c.ensureSorted()
-	if p <= 0 {
-		return c.samples[0]
-	}
-	if p >= 100 {
-		return c.samples[len(c.samples)-1]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(c.samples))))
-	if rank < 1 {
-		rank = 1
-	}
-	return c.samples[rank-1]
-}
-
 // Min returns the smallest sample, or 0 if empty.
 func (c *CDF) Min() float64 {
 	if len(c.samples) == 0 {
@@ -103,38 +83,6 @@ func (c *CDF) Mean() float64 {
 		sum += v
 	}
 	return sum / float64(len(c.samples))
-}
-
-// Points returns (x, F(x)) pairs suitable for plotting, sampled at each
-// distinct value. For large sample counts it downsamples to at most max
-// points (max <= 0 means no limit).
-func (c *CDF) Points(max int) []Point {
-	if len(c.samples) == 0 {
-		return nil
-	}
-	c.ensureSorted()
-	n := len(c.samples)
-	var pts []Point
-	for i := 0; i < n; i++ {
-		if i+1 < n && c.samples[i+1] == c.samples[i] {
-			continue // emit only the last occurrence of each distinct value
-		}
-		pts = append(pts, Point{X: c.samples[i], Y: float64(i+1) / float64(n)})
-	}
-	if max > 0 && len(pts) > max {
-		ds := make([]Point, 0, max)
-		step := float64(len(pts)-1) / float64(max-1)
-		for i := 0; i < max; i++ {
-			ds = append(ds, pts[int(math.Round(float64(i)*step))])
-		}
-		pts = ds
-	}
-	return pts
-}
-
-// Point is a single (x, y) coordinate of a rendered curve.
-type Point struct {
-	X, Y float64
 }
 
 // Histogram counts samples into caller-defined bucket edges.
@@ -188,9 +136,6 @@ func (h *Histogram) Total() int64 { return h.total }
 // Bucket reports the count in bucket i (0-based; the final index is the
 // overflow bucket for samples >= the last edge).
 func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// NumBuckets reports the number of buckets, including overflow.
-func (h *Histogram) NumBuckets() int { return len(h.counts) }
 
 // Fraction reports bucket i's share of all samples (0 when empty).
 func (h *Histogram) Fraction(i int) float64 {

@@ -16,12 +16,6 @@ func TestCDFEmpty(t *testing.T) {
 	if got := c.At(10); got != 0 {
 		t.Errorf("At(10) = %v, want 0", got)
 	}
-	if got := c.Percentile(50); got != 0 {
-		t.Errorf("Percentile(50) = %v, want 0", got)
-	}
-	if c.Points(0) != nil {
-		t.Errorf("Points on empty CDF should be nil")
-	}
 }
 
 func TestCDFBasic(t *testing.T) {
@@ -39,15 +33,6 @@ func TestCDFBasic(t *testing.T) {
 		if got := c.At(tc.x); got != tc.want {
 			t.Errorf("At(%v) = %v, want %v", tc.x, got, tc.want)
 		}
-	}
-	if got := c.Percentile(50); got != 2 {
-		t.Errorf("Percentile(50) = %v, want 2", got)
-	}
-	if got := c.Percentile(100); got != 4 {
-		t.Errorf("Percentile(100) = %v, want 4", got)
-	}
-	if got := c.Percentile(0); got != 1 {
-		t.Errorf("Percentile(0) = %v, want 1", got)
 	}
 	if got := c.Mean(); got != 2.5 {
 		t.Errorf("Mean = %v, want 2.5", got)
@@ -80,39 +65,6 @@ func TestCDFDuration(t *testing.T) {
 	}
 }
 
-func TestCDFPointsMonotone(t *testing.T) {
-	var c CDF
-	for _, v := range []float64{3, 1, 4, 1, 5, 9, 2, 6, 5, 3} {
-		c.Add(v)
-	}
-	pts := c.Points(0)
-	for i := 1; i < len(pts); i++ {
-		if pts[i].X <= pts[i-1].X {
-			t.Errorf("Points X not strictly ascending at %d: %v <= %v", i, pts[i].X, pts[i-1].X)
-		}
-		if pts[i].Y < pts[i-1].Y {
-			t.Errorf("Points Y not non-decreasing at %d", i)
-		}
-	}
-	if last := pts[len(pts)-1]; last.Y != 1 {
-		t.Errorf("final CDF point Y = %v, want 1", last.Y)
-	}
-}
-
-func TestCDFPointsDownsample(t *testing.T) {
-	var c CDF
-	for i := 0; i < 1000; i++ {
-		c.Add(float64(i))
-	}
-	pts := c.Points(10)
-	if len(pts) != 10 {
-		t.Fatalf("downsampled Points len = %d, want 10", len(pts))
-	}
-	if pts[0].X != 0 || pts[9].X != 999 {
-		t.Errorf("downsampled endpoints = %v, %v; want 0 and 999", pts[0].X, pts[9].X)
-	}
-}
-
 func TestCDFPropertyAtMonotone(t *testing.T) {
 	f := func(vals []float64, a, b float64) bool {
 		var c CDF
@@ -130,26 +82,6 @@ func TestCDFPropertyAtMonotone(t *testing.T) {
 			lo, hi = hi, lo
 		}
 		return c.At(lo) <= c.At(hi)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestCDFPropertyPercentileInRange(t *testing.T) {
-	f := func(vals []float64, p uint8) bool {
-		var c CDF
-		for _, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true
-			}
-			c.Add(v)
-		}
-		if c.N() == 0 {
-			return c.Percentile(float64(p%101)) == 0
-		}
-		got := c.Percentile(float64(p % 101))
-		return got >= c.Min() && got <= c.Max()
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
@@ -205,7 +137,7 @@ func TestHistogramPropertyConservation(t *testing.T) {
 			n++
 		}
 		var sum int64
-		for i := 0; i < h.NumBuckets(); i++ {
+		for i := 0; i < 5; i++ { // four edge-bounded buckets plus overflow
 			sum += h.Bucket(i)
 		}
 		return sum == int64(n) && h.Total() == int64(n)

@@ -39,11 +39,9 @@ type Blueprint struct {
 
 	native map[int]bool // ASNs present at Build time
 
-	next16   uint32
-	taken16  map[uint32]bool
-	nextASN  int
-	silent   float64
-	routersN int
+	next16  uint32
+	taken16 map[uint32]bool
+	nextASN int
 
 	// paths caches structural hop sequences per native AS pair, shared by
 	// every world instantiated from this blueprint. Values are immutable
@@ -82,9 +80,8 @@ type specBirth struct {
 }
 
 // NewBlueprint builds the campaign skeleton once. cfg.Seed is irrelevant to
-// the snapshot (the seed only affects ICMPSilent draws, replayed per
-// trial); the structural knobs — CountryCount, HostingASesPerCountry,
-// RoutersPerAS, ICMPSilentFraction — are captured.
+// the snapshot: the seed only affects ICMPSilent draws, replayed per
+// trial.
 //
 //shadowlint:sharedinit
 func NewBlueprint(cfg Config) *Blueprint {
@@ -96,8 +93,6 @@ func NewBlueprint(cfg Config) *Blueprint {
 		next16:        t.next16,
 		taken16:       make(map[uint32]bool, len(t.taken16)),
 		nextASN:       t.nextASN,
-		silent:        t.silent,
-		routersN:      t.routersN,
 		backboneIdx:   -1,
 	}
 	bp.geo.Freeze()
@@ -153,8 +148,6 @@ func (bp *Blueprint) Instantiate(seed int64) *Topology {
 		taken16:      make(map[uint32]bool, len(bp.taken16)*2),
 		next16:       bp.next16,
 		nextASN:      bp.nextASN,
-		silent:       bp.silent,
-		routersN:     bp.routersN,
 		rng:          rand.New(rand.NewSource(seed)),
 		pathCache:    make(map[uint64][]*netsim.Router),
 		pathASN:      make(map[wire.Addr]int),
@@ -187,7 +180,7 @@ func (bp *Blueprint) Instantiate(seed int64) *Topology {
 	// interleaves them — so both the flags and the rng's final state match
 	// a cold build.
 	for _, b := range bp.births {
-		ases[b.spec].Routers[b.idx].ICMPSilent = t.rng.Float64() < bp.silent
+		ases[b.spec].Routers[b.idx].ICMPSilent = t.rng.Float64() < icmpSilentFraction
 	}
 	if bp.backboneIdx >= 0 {
 		t.cnBackbone = ases[bp.backboneIdx]

@@ -51,18 +51,19 @@ func (a *AS) core() *netsim.Router { return a.Routers[len(a.Routers)-1] }
 // Config parameterizes Build.
 type Config struct {
 	Seed int64
-	// CountryCount limits the world to the first N entries of Countries
-	// (always including CN). 0 means all 82.
-	CountryCount int
-	// HostingASesPerCountry is how many datacenter ASes each non-CN country
-	// hosts (VP placement pool). 0 means 1.
-	HostingASesPerCountry int
-	// RoutersPerAS sets routers per stub AS. 0 means 2.
-	RoutersPerAS int
-	// ICMPSilentFraction is the probability a router never answers ICMP,
-	// modeling incomplete traceroutes. Negative means 0; default 0.08.
-	ICMPSilentFraction float64
 }
+
+// The world's structural constants. Every country in Countries gets
+// hostingASesPerCountry datacenter ASes (the VP placement pool) and one
+// eyeball AS.
+const (
+	hostingASesPerCountry = 1
+	// routersPerAS is the router count of a stub AS.
+	routersPerAS = 2
+	// icmpSilentFraction is the probability a router never answers ICMP,
+	// modeling incomplete traceroutes.
+	icmpSilentFraction = 0.08
+)
 
 // Topology is the built world.
 type Topology struct {
@@ -80,8 +81,6 @@ type Topology struct {
 	next16    uint32 // next /16 allocation index
 	taken16   map[uint32]bool
 	nextASN   int
-	silent    float64
-	routersN  int
 	rng       *rand.Rand
 	pathCache map[uint64][]*netsim.Router // keyed by pathKey
 	// pathASN memoizes Path's address-to-ASN lookups. It holds only
@@ -112,19 +111,6 @@ type routerBirth struct {
 
 // Build constructs the world.
 func Build(cfg Config) *Topology {
-	if cfg.HostingASesPerCountry <= 0 {
-		cfg.HostingASesPerCountry = 1
-	}
-	if cfg.RoutersPerAS <= 0 {
-		cfg.RoutersPerAS = 2
-	}
-	silent := cfg.ICMPSilentFraction
-	if silent == 0 {
-		silent = 0.08
-	}
-	if silent < 0 {
-		silent = 0
-	}
 	t := &Topology{
 		Geo:          geodb.New(),
 		ases:         make(map[int]*AS),
@@ -132,26 +118,9 @@ func Build(cfg Config) *Topology {
 		cnProvincial: make(map[string]*AS),
 		taken16:      make(map[uint32]bool),
 		nextASN:      200000,
-		silent:       silent,
-		routersN:     cfg.RoutersPerAS,
 		rng:          rand.New(rand.NewSource(cfg.Seed)),
 		pathCache:    make(map[uint64][]*netsim.Router),
 		pathASN:      make(map[wire.Addr]int),
-	}
-
-	countries := Countries
-	if cfg.CountryCount > 0 && cfg.CountryCount < len(countries) {
-		sub := append([]Country(nil), countries[:cfg.CountryCount]...)
-		hasCN := false
-		for _, c := range sub {
-			if c.Code == "CN" {
-				hasCN = true
-			}
-		}
-		if !hasCN {
-			sub = append(sub, Country{"CN", "China", 0})
-		}
-		countries = sub
 	}
 
 	// Global transit backbone first so paths can reference it. Transit
@@ -177,27 +146,27 @@ func Build(cfg Config) *Topology {
 
 	// CN provincial networks.
 	for _, p := range CNProvinces {
-		as := t.newAS(p.ASN, p.ASName, "CN", false, cfg.RoutersPerAS)
+		as := t.newAS(p.ASN, p.ASName, "CN", false, routersPerAS)
 		as.Province = p.Name
 		t.cnProvincial[p.Name] = as
 	}
 
 	// Per-country hosting (VPN datacenter) and eyeball ASes.
-	for _, c := range countries {
+	for _, c := range Countries {
 		if c.Code == "CN" {
 			// CN hosting ASes for the 13 local VPN providers: one IDC per
 			// province, so the platform can cover 30 of 31 provinces
 			// (Table 1).
 			for i, prov := range CNProvinces {
-				as := t.newAS(t.allocASN(), fmt.Sprintf("CN-IDC-%d %s Cloud Datacenter", i+1, prov.Name), "CN", true, cfg.RoutersPerAS)
+				as := t.newAS(t.allocASN(), fmt.Sprintf("CN-IDC-%d %s Cloud Datacenter", i+1, prov.Name), "CN", true, routersPerAS)
 				as.Province = prov.Name
 			}
 			continue
 		}
-		for i := 0; i < cfg.HostingASesPerCountry; i++ {
-			t.newAS(t.allocASN(), fmt.Sprintf("%s-DC-%d Hosting", c.Code, i+1), c.Code, true, cfg.RoutersPerAS)
+		for i := 0; i < hostingASesPerCountry; i++ {
+			t.newAS(t.allocASN(), fmt.Sprintf("%s-DC-%d Hosting", c.Code, i+1), c.Code, true, routersPerAS)
 		}
-		t.newAS(t.allocASN(), fmt.Sprintf("%s Telecom", c.Code), c.Code, false, cfg.RoutersPerAS)
+		t.newAS(t.allocASN(), fmt.Sprintf("%s Telecom", c.Code), c.Code, false, routersPerAS)
 	}
 
 	// Google's network exists from the start (Figure 6 origin analysis).
@@ -228,7 +197,7 @@ func (t *Topology) NewStubAS(name, country string, hosting bool) *AS {
 	asn := t.nextASN
 	t.nextASN++
 	t.mu.Unlock()
-	return t.newAS(asn, name, country, hosting, t.routersN)
+	return t.newAS(asn, name, country, hosting, routersPerAS)
 }
 
 // AddServiceAS creates (or extends) the AS owning a fixed, well-known
@@ -304,7 +273,7 @@ func (t *Topology) addRouterLocked(as *AS, name string) *netsim.Router {
 	r := &netsim.Router{
 		Name:       fmt.Sprintf("AS%d-%s", as.ASN, name),
 		Addr:       addr,
-		ICMPSilent: t.rng.Float64() < t.silent,
+		ICMPSilent: t.rng.Float64() < icmpSilentFraction,
 	}
 	as.Routers = append(as.Routers, r)
 	t.routerBirths = append(t.routerBirths, routerBirth{as: as, idx: i})

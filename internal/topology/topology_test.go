@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"math"
 	"reflect"
 	"testing"
 
@@ -199,29 +200,10 @@ func TestPathUnknownAddr(t *testing.T) {
 	}
 }
 
-func TestCountryCountScaling(t *testing.T) {
-	topo := Build(Config{Seed: 1, CountryCount: 10})
-	countries := topo.Countries()
-	found := false
-	for _, c := range countries {
-		if c == "CN" {
-			found = true
-		}
-	}
-	if !found {
-		t.Error("CN must always be present")
-	}
-	// 10 requested + CN + countries contributed by the fixed transit pool.
-	if len(countries) > 10+1+len(GlobalTransit) {
-		t.Errorf("countries = %d, want <= %d", len(countries), 11+len(GlobalTransit))
-	}
-	if len(topo.HostingASes("US")) == 0 || len(topo.HostingASes("DE")) == 0 {
-		t.Error("first-10 countries should have hosting ASes")
-	}
-}
-
+// TestSomeRoutersICMPSilent: about icmpSilentFraction of the routers
+// never answer ICMP, so some traceroutes stay incomplete.
 func TestSomeRoutersICMPSilent(t *testing.T) {
-	topo := Build(Config{Seed: 3, ICMPSilentFraction: 0.5})
+	topo := Build(Config{Seed: 3})
 	silent, total := 0, 0
 	for _, c := range topo.Countries() {
 		for _, as := range topo.CountryASes(c) {
@@ -233,8 +215,8 @@ func TestSomeRoutersICMPSilent(t *testing.T) {
 			}
 		}
 	}
-	if silent == 0 || silent == total {
-		t.Errorf("silent = %d/%d, want a mix", silent, total)
+	if got := float64(silent) / float64(total); math.Abs(got-icmpSilentFraction) > 0.03 {
+		t.Errorf("silent = %d/%d = %.3f, want about %.2f", silent, total, got, icmpSilentFraction)
 	}
 }
 

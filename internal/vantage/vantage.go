@@ -384,15 +384,6 @@ func (p *Platform) Capabilities() []Summary {
 	}
 }
 
-// ByCountry groups kept VPs by discovered country, sorted keys.
-func (p *Platform) ByCountry() map[string][]*VP {
-	out := make(map[string][]*VP)
-	for _, vp := range p.VPs {
-		out[vp.Country] = append(out[vp.Country], vp)
-	}
-	return out
-}
-
 // CountryCodes lists the distinct countries of kept VPs.
 func (p *Platform) CountryCodes() []string {
 	set := make(map[string]bool)

@@ -165,16 +165,16 @@ func TestTTLMangleGroundTruth(t *testing.T) {
 func TestByCountryGrouping(t *testing.T) {
 	n, topo, p := buildWorld(t)
 	discoverAndScreen(t, n, topo, p)
-	groups := p.ByCountry()
-	if len(groups) < 5 {
-		t.Errorf("countries = %d", len(groups))
-	}
-	if len(groups["CN"]) == 0 {
-		t.Error("no CN VPs after screening")
-	}
 	codes := p.CountryCodes()
-	if len(codes) == 0 || len(codes) > len(groups) {
-		t.Errorf("codes %d vs groups %d", len(codes), len(groups))
+	if len(codes) < 5 {
+		t.Errorf("countries = %d", len(codes))
+	}
+	hasCN := false
+	for _, c := range codes {
+		hasCN = hasCN || c == "CN"
+	}
+	if !hasCN {
+		t.Error("no CN VPs after screening")
 	}
 }
 

@@ -180,17 +180,3 @@ func (f *Fleet) ASNs() []int {
 	sort.Ints(out)
 	return out
 }
-
-// SitesIn returns the sites hosted in one AS.
-func (f *Fleet) SitesIn(asn int) []*Site { return f.byAS[asn] }
-
-// CountryOf returns the sites in a country.
-func (f *Fleet) CountryOf(country string) []*Site {
-	var out []*Site
-	for _, s := range f.Sites {
-		if s.Country == country {
-			out = append(out, s)
-		}
-	}
-	return out
-}

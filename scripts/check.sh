@@ -106,10 +106,20 @@ echo "== runstore frame decoder differential fuzz smoke"
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s -fuzzminimizetime 200x ./internal/runstore
 
 echo "== runstore sidecar decode fuzz smoke"
-# index.bin and headlines.col are read on every open: any body behind a
-# valid header and CRC must decode without panic or an allocation its
-# size cannot back, and what decodes must survive encode -> decode.
+# headlines.col, the one per-trial index, is read on every open: any
+# body behind a valid header and CRC must decode without panic or an
+# allocation its size cannot back, and what decodes must survive
+# encode -> decode.
 go test -run '^$' -fuzz '^FuzzDecodeSidecars$' -fuzztime 10s ./internal/runstore
+
+echo "== runstore salvage fuzz smoke"
+# Compact and Merge rebuild logs through one salvage pass: on any bytes
+# it must not panic, and what it keeps must be one decodable frame per
+# trial, in trial order, copied unchanged from the input and on the
+# campaign plan, and salvaging its output again must change nothing. A
+# crasher lands in internal/runstore/testdata/fuzz/ and belongs in the
+# commit.
+go test -run '^$' -fuzz '^FuzzSalvage$' -fuzztime 10s ./internal/runstore
 
 echo "== telemetry determinism smoke"
 # The -metrics-json contract: identical seed+scale must produce

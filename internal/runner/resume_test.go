@@ -2,6 +2,9 @@ package runner
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
+	"hash/crc32"
 	"os"
 	"testing"
 
@@ -334,16 +337,22 @@ func TestResumeMismatchedSeedReruns(t *testing.T) {
 	cfg := Config{Trials: 2, Workers: 1, BaseSeed: 31, Core: tinyCore()}
 	dir := t.TempDir() + "/camp"
 	man := testStoreManifest(2, 31)
-	st, err := runstore.Create(dir, man, nil)
+	created, err := runstore.Create(dir, man, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := created.Close(); err != nil {
+		t.Fatal(err)
+	}
 	// Trial 0 stored under a different seed: stale plan, must not be
-	// served even though the trial index matches.
-	_, err = st.AppendIndexed(runstore.TrialRecord{
+	// served even though the trial index matches. AppendIndexed refuses
+	// such a record, so it is planted as a raw frame, as a log written
+	// by an older build would hold it, and the open's scan indexes it.
+	appendRawFrame(t, runstore.LogPath(dir), runstore.TrialRecord{
 		Trial: 0, Seed: 99, ConfigHash: man.ConfigHash,
 		Headline: map[string]float64{"captures": 1},
 	})
+	st, err := runstore.Open(dir, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -365,6 +374,29 @@ func TestResumeMismatchedSeedReruns(t *testing.T) {
 		t.Errorf("resume hits = %d, want 0", stats.ResumeHits)
 	}
 	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// appendRawFrame appends rec to a trial log as one frame (magic, payload
+// length, payload CRC32, JSON payload) behind the store's back.
+func appendRawFrame(t *testing.T, path string, rec runstore.TrialRecord) {
+	t.Helper()
+	payload, err := json.Marshal(rec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := binary.BigEndian.AppendUint32(nil, 0x53485231) // "SHR1"
+	frame = binary.BigEndian.AppendUint32(frame, uint32(len(payload)))
+	frame = binary.BigEndian.AppendUint32(frame, crc32.ChecksumIEEE(payload))
+	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.Write(append(frame, payload...)); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

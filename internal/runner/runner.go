@@ -359,11 +359,12 @@ func runTrial(cfg Config, worker, t int, hash string, arena *netsim.Arena) finis
 		}()
 	}
 	if cfg.Store != nil && cfg.Resume {
-		// A Get error means the index points at a frame that no longer
-		// decodes; fall through and re-run — the Append collision below
-		// then surfaces the store corruption as StoreErr instead of
-		// silently dropping it.
-		if rec, ok, err := cfg.Store.Get(t); err == nil && ok && rec.Seed == seed && rec.ConfigHash == hash {
+		// Resume uses no events, so they are checked but not kept. A read
+		// error means the index points at a frame that no longer decodes;
+		// fall through and re-run — the Append collision below then
+		// surfaces the store corruption as StoreErr instead of silently
+		// dropping it.
+		if rec, ok, err := cfg.Store.GetWithoutEvents(t); err == nil && ok && rec.Seed == seed && rec.ConfigHash == hash {
 			cfg.Store.NoteResumeHit()
 			if m := cfg.Monitor; m != nil {
 				m.trialFinished(worker, t, seed, true, rec.Headline, rec.Spans)

@@ -143,7 +143,7 @@ func salvage(logs [][]byte, plan Manifest) (out []byte, rows map[int]HeadlineRow
 	newest := make(map[int]found)
 	size := 0
 	for _, data := range logs {
-		covered := walkFrames(data, true, func(rec TrialRecord, ref FrameRef) {
+		covered := walkFrames(data, true, summaryRead, func(rec TrialRecord, row HeadlineRow) {
 			c.decoded++
 			if !plan.plans(rec) {
 				c.dropped++
@@ -153,8 +153,8 @@ func salvage(logs [][]byte, plan Manifest) (out []byte, rows map[int]HeadlineRow
 				c.superseded++
 				size -= len(old.frame)
 			}
-			newest[rec.Trial] = found{data[ref.Off : ref.Off+ref.Len], rowFrom(rec, FrameRef{})}
-			size += int(ref.Len)
+			newest[rec.Trial] = found{data[row.ref.Off : row.ref.Off+row.ref.Len], row}
+			size += int(row.ref.Len)
 		})
 		c.torn += int64(len(data)) - covered
 	}

@@ -29,6 +29,25 @@
 // Decoded strings never alias the frame buffer. Event labels share one
 // backing string per record, and the small set of protocol and
 // destination names repeated across events is interned per record.
+//
+// Events are 99.5% of a record's bytes, so each one first tries a fast
+// path for the exact shape json.Marshal writes:
+//
+//	{"label":"…","sent_proto":"…","capture_proto":"…","dst_name":"…","delay_ns":N}
+//
+// with the keys as exact byte prefixes, strings of plainByte bytes only,
+// and N an integer literal of at most 18 digits with no leading zero,
+// followed by the closing brace. Any deviation rewinds the cursor to the
+// element's first byte and decodes the element through the generic path
+// below, so what the fast path accepts it decodes exactly as the generic
+// path would: verdicts and records stay those of json.Unmarshal by
+// construction.
+//
+// A summary decode walks the events with the same grammar and type checks
+// but keeps none of them: the record comes back with Events nil, plus the
+// event count and delay range a HeadlineRow needs. Readers that never
+// look at events (resume, open's rebuild scan, salvage, LogOffsets) use
+// it.
 package runstore
 
 import (
@@ -65,12 +84,51 @@ var (
 	spanFields   = []string{"Name", "Count", "Events", "Total"}
 )
 
+// readMode selects what a decode keeps of a record's events.
+type readMode uint8
+
+const (
+	// fullRead decodes every event into the record.
+	fullRead readMode = iota
+	// summaryRead checks every event as fullRead does but keeps only
+	// their count and delay range; the record's Events stay nil.
+	summaryRead
+)
+
+// eventSummary is what a HeadlineRow keeps of a record's events: their
+// number and the range of their delays (both zero without events).
+type eventSummary struct {
+	n        int
+	min, max int64
+}
+
+func (s *eventSummary) add(delayNS int64) {
+	if s.n == 0 || delayNS < s.min {
+		s.min = delayNS
+	}
+	if s.n == 0 || delayNS > s.max {
+		s.max = delayNS
+	}
+	s.n++
+}
+
+// summarize folds events the way a summary decode does.
+func summarize(events []EventRecord) eventSummary {
+	var s eventSummary
+	for _, ev := range events {
+		s.add(ev.DelayNS)
+	}
+	return s
+}
+
 // recordDecoder is a cursor over one frame payload plus scratch space
 // that pooled decoders carry from record to record.
 type recordDecoder struct {
 	data  []byte
 	pos   int
 	depth int
+	keep  bool         // decode events into the record (fullRead)
+	sum   eventSummary // the events seen so far, in either mode
 
 	buf    []byte            // unescape scratch; string results alias it until the next string
 	names  map[string]string // this record's interned event protocol and destination names
@@ -81,10 +139,12 @@ type recordDecoder struct {
 
 var decoderPool = sync.Pool{New: func() any { return new(recordDecoder) }}
 
-// decodeRecord decodes one frame payload.
-func decodeRecord(payload []byte) (TrialRecord, error) {
+// decodeRecord decodes one frame payload; mode says whether the events
+// are kept or only summarized.
+func decodeRecord(payload []byte, mode readMode) (TrialRecord, eventSummary, error) {
 	d := decoderPool.Get().(*recordDecoder)
 	d.data, d.pos, d.depth = payload, 0, 0
+	d.keep, d.sum = mode == fullRead, eventSummary{}
 	var rec TrialRecord
 	d.ws()
 	err := d.record(&rec)
@@ -92,13 +152,14 @@ func decodeRecord(payload []byte) (TrialRecord, error) {
 	if err == nil && d.pos != len(d.data) {
 		err = d.errorf("data after top-level value")
 	}
+	sum := d.sum
 	d.data = nil
 	clear(d.names) // interning is per record, and the pool must not pin it
 	decoderPool.Put(d)
 	if err != nil {
-		return TrialRecord{}, err
+		return TrialRecord{}, eventSummary{}, err
 	}
-	return rec, nil
+	return rec, sum, nil
 }
 
 // record decodes the top-level value; null, as in encoding/json, leaves
@@ -147,9 +208,24 @@ func (d *recordDecoder) headline() (map[string]float64, error) {
 	return m, nil
 }
 
+// events decodes the events array. A summary decode returns nil and
+// leaves only d.sum behind.
 func (d *recordDecoder) events() ([]EventRecord, error) {
 	if null, err := d.null(); null || err != nil {
 		return nil, err
+	}
+	if !d.keep {
+		var ev EventRecord // scratch: a summary keeps only the delay
+		return nil, d.array(func() error {
+			ev = EventRecord{}
+			if !d.fastEvent(&ev, nil) {
+				if err := d.event(&ev, nil); err != nil {
+					return err
+				}
+			}
+			d.sum.add(ev.DelayNS)
+			return nil
+		})
 	}
 	d.evs, d.labels, d.ends = d.evs[:0], d.labels[:0], d.ends[:0]
 	first := 0 // offset of the first event
@@ -161,26 +237,17 @@ func (d *recordDecoder) events() ([]EventRecord, error) {
 			d.sizeEvents(d.pos - first)
 		}
 		d.evs = append(d.evs, EventRecord{})
-		ev := &d.evs[len(d.evs)-1]
-		err := d.structOrNull(eventFields, func(i int) (err error) {
-			switch i {
-			case 0:
-				var b []byte
-				if b, err = d.stringBytes(); err == nil {
-					d.labels = append(d.labels, b...)
-				}
-			case 1:
-				ev.SentProto, err = d.internString()
-			case 2:
-				ev.CaptureProto, err = d.internString()
-			case 3:
-				ev.DstName, err = d.internString()
-			case 4:
-				ev.DelayNS, err = d.int64()
-			}
-			return err
-		})
+		n := len(d.evs)
+		ev, prev := &d.evs[n-1], &noEvent
+		if n > 1 {
+			prev = &d.evs[n-2]
+		}
+		var err error
+		if !d.fastEvent(ev, prev) {
+			err = d.event(ev, prev)
+		}
 		d.ends = append(d.ends, len(d.labels))
+		d.sum.add(ev.DelayNS)
 		return err
 	})
 	var evs []EventRecord
@@ -199,6 +266,138 @@ func (d *recordDecoder) events() ([]EventRecord, error) {
 		start = end
 	}
 	return evs, nil
+}
+
+// event decodes one events element through the generic path. When the
+// decoder keeps events, the label is appended to d.labels and the names
+// are interned (prev holds the previous event's); otherwise every field
+// is checked and only the delay is stored.
+func (d *recordDecoder) event(ev, prev *EventRecord) error {
+	return d.structOrNull(eventFields, func(i int) (err error) {
+		if i == 4 {
+			ev.DelayNS, err = d.int64()
+			return err
+		}
+		b, err := d.stringBytes()
+		if err != nil || !d.keep {
+			return err
+		}
+		switch i {
+		case 0:
+			d.labels = append(d.labels, b...)
+		case 1:
+			ev.SentProto = d.intern(b, prev.SentProto)
+		case 2:
+			ev.CaptureProto = d.intern(b, prev.CaptureProto)
+		case 3:
+			ev.DstName = d.intern(b, prev.DstName)
+		}
+		return nil
+	})
+}
+
+// noEvent is the "previous event" of a record's first event.
+var noEvent EventRecord
+
+// Key prefixes of the fast path's event shape, each running up to the
+// first byte of the value.
+const (
+	evLabelKey   = `{"label":"`
+	evSentKey    = `,"sent_proto":"`
+	evCaptureKey = `,"capture_proto":"`
+	evDstKey     = `,"dst_name":"`
+	evDelayKey   = `,"delay_ns":`
+)
+
+// fastEvent decodes the events element at the cursor if it has exactly
+// the shape json.Marshal writes (see the file comment) and reports
+// whether it did. On false nothing has changed: not the cursor, not ev,
+// not the scratch. A summary decode (prev nil) stores only the delay.
+func (d *recordDecoder) fastEvent(ev, prev *EventRecord) bool {
+	data := d.data
+	label, i, ok := plainValue(data, d.pos, evLabelKey)
+	if !ok {
+		return false
+	}
+	sent, i, ok := plainValue(data, i, evSentKey)
+	if !ok {
+		return false
+	}
+	capture, i, ok := plainValue(data, i, evCaptureKey)
+	if !ok {
+		return false
+	}
+	dst, i, ok := plainValue(data, i, evDstKey)
+	if !ok || !hasPrefixAt(data, i, evDelayKey) {
+		return false
+	}
+	delay, i, ok := shortInt(data, i+len(evDelayKey))
+	if !ok || i >= len(data) || data[i] != '}' {
+		return false
+	}
+	if d.keep {
+		d.labels = append(d.labels, label...)
+		ev.SentProto = d.intern(sent, prev.SentProto)
+		ev.CaptureProto = d.intern(capture, prev.CaptureProto)
+		ev.DstName = d.intern(dst, prev.DstName)
+	}
+	ev.DelayNS = delay
+	d.pos = i + 1
+	return true
+}
+
+// hasPrefixAt reports whether data[i:] begins with prefix.
+func hasPrefixAt(data []byte, i int, prefix string) bool {
+	return len(data)-i >= len(prefix) && string(data[i:i+len(prefix)]) == prefix
+}
+
+// plainValue matches key (which ends with the value's opening quote) at
+// data[i:] and a string of plainByte bytes after it, returning those
+// bytes and the offset past the closing quote.
+func plainValue(data []byte, i int, key string) ([]byte, int, bool) {
+	if !hasPrefixAt(data, i, key) {
+		return nil, 0, false
+	}
+	start := i + len(key)
+	for j := start; j < len(data); j++ {
+		if c := data[j]; !plainByte[c] {
+			if c == '"' {
+				return data[start:j], j + 1, true
+			}
+			return nil, 0, false
+		}
+	}
+	return nil, 0, false
+}
+
+// shortInt parses the integer literal at data[i:] if it has at most 18
+// digits and no leading zero (so it fits an int64 without a range
+// check), returning it and the offset past it.
+func shortInt(data []byte, i int) (int64, int, bool) {
+	neg := i < len(data) && data[i] == '-'
+	if neg {
+		i++
+	}
+	if i >= len(data) || data[i] < '0' || data[i] > '9' {
+		return 0, 0, false
+	}
+	if data[i] == '0' {
+		// Only a bare 0 passes: -0 fails here, and a leading zero fails
+		// the caller's check for the closing brace.
+		return 0, i + 1, !neg
+	}
+	var n int64
+	j := i
+	for ; j < len(data) && '0' <= data[j] && data[j] <= '9'; j++ {
+		if j-i == 18 {
+			return 0, 0, false
+		}
+		n = n*10 + int64(data[j]-'0')
+	}
+	if neg {
+		n = -n
+	}
+	return n, j, true
 }
 
 // minEventBytes floors the encoded size sizeEvents assumes per event. An
@@ -476,20 +675,22 @@ func (d *recordDecoder) string() (string, error) {
 	return string(b), nil
 }
 
-func (d *recordDecoder) internString() (string, error) {
-	b, err := d.stringBytes()
-	if err != nil {
-		return "", err
+// intern returns b as a string shared by every event of the record that
+// names it: prev, the previous event's value, when b equals it, else the
+// record's interned copy.
+func (d *recordDecoder) intern(b []byte, prev string) string {
+	if string(b) == prev {
+		return prev
 	}
 	if s, ok := d.names[string(b)]; ok {
-		return s, nil
+		return s
 	}
 	if d.names == nil {
 		d.names = make(map[string]string)
 	}
 	s := string(b)
 	d.names[s] = s
-	return s, nil
+	return s
 }
 
 // stringBytes decodes a string field; null yields no bytes.

@@ -30,12 +30,18 @@ func frameOf(payload []byte) []byte {
 // accepts a payload exactly when json.Unmarshal does, and then returns
 // the record json.Unmarshal fills, sharing no bytes with the frame. The
 // one tolerated disagreement is a refusal of an object that names the
-// same field twice, which encoding/json merges instead. It reports
-// whether the payload was accepted.
+// same field twice, which encoding/json merges instead. A summary decode
+// of the same frame gives the same verdict, the same record with Events
+// nil, and the event count and delay range of the full record's events.
+// It reports whether the payload was accepted.
 func checkDecodeMatchesJSON(t *testing.T, payload []byte) bool {
 	t.Helper()
 	frame := frameOf(payload)
-	got, n, ok := decodeFrame(frame)
+	got, events, n, ok := decodeFrame(frame, fullRead)
+	brief, briefEvents, briefN, briefOK := decodeFrame(frame, summaryRead)
+	if briefOK != ok || briefN != n {
+		t.Fatalf("summary decode verdict %v (%d bytes), full decode %v (%d bytes)", briefOK, briefN, ok, n)
+	}
 	var want TrialRecord
 	jerr := json.Unmarshal(payload, &want)
 	switch {
@@ -50,10 +56,18 @@ func checkDecodeMatchesJSON(t *testing.T, payload []byte) bool {
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("decoded record differs from encoding/json's:\n got %+v\nwant %+v", got, want)
 		}
+		wantEvents := summarize(want.Events)
+		if events != wantEvents || briefEvents != wantEvents {
+			t.Fatalf("event summaries: full decode %+v, summary decode %+v, want %+v", events, briefEvents, wantEvents)
+		}
+		want.Events = nil
+		if !reflect.DeepEqual(brief, want) {
+			t.Fatalf("summary-decoded record differs from encoding/json's without events:\n got %+v\nwant %+v", brief, want)
+		}
 	case ok:
 		t.Fatalf("decoder accepts a payload encoding/json refuses (%v)", jerr)
 	case jerr == nil:
-		_, err := decodeRecord(payload)
+		_, _, err := decodeRecord(payload, fullRead)
 		if !errors.Is(err, errDuplicateField) || !repeatsKey(payload) {
 			t.Fatalf("decoder refuses a payload encoding/json accepts: %v", err)
 		}
@@ -197,6 +211,55 @@ var decodeSeeds = []struct {
 
 	{"max depth", `{"x":` + strings.Repeat("[", maxNestingDepth-1) + strings.Repeat("]", maxNestingDepth-1) + `}`, true},
 	{"past max depth", `{"x":` + strings.Repeat("[", maxNestingDepth) + strings.Repeat("]", maxNestingDepth) + `}`, false},
+
+	// Events just off the fast path's shape, each after one on it: they
+	// must fall back to the generic path and decode as encoding/json does.
+	{"fast-path event", afterFastEvent(fastEvent), true},
+	{"fast-path zero and negative delays", afterFastEvent(`{"label":"","sent_proto":"","capture_proto":"","dst_name":"","delay_ns":0},` +
+		`{"label":"b","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":-123456789012345678}`), true},
+	{"event whitespace after brace", afterFastEvent(`{ "label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event whitespace after colon", afterFastEvent(`{"label": "a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event whitespace before comma", afterFastEvent(`{"label":"a" ,"sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event whitespace before brace", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5 }`), true},
+	{"event reordered keys", afterFastEvent(`{"sent_proto":"tls","label":"a","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event delay first", afterFastEvent(`{"delay_ns":5,"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d"}`), true},
+	{"event case-folded key", afterFastEvent(`{"label":"a","sent_proto":"dns","Capture_Proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event escaped label", afterFastEvent(`{"label":"a\u0062c","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event escaped quote in label", afterFastEvent(`{"label":"a\"c","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event escaped key", afterFastEvent(`{"\u006cabel":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event escaped name", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"\/d","delay_ns":5}`), true},
+	{"event non-ASCII label", afterFastEvent(`{"label":"ü日","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event invalid UTF-8 name", afterFastEvent("{\"label\":\"a\",\"sent_proto\":\"dns\xff\",\"capture_proto\":\"http\",\"dst_name\":\"d\",\"delay_ns\":5}"), true},
+	{"event control character in label", afterFastEvent("{\"label\":\"a\x01\",\"sent_proto\":\"dns\",\"capture_proto\":\"http\",\"dst_name\":\"d\",\"delay_ns\":5}"), false},
+	{"event null label", afterFastEvent(`{"label":null,"sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event null name", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":null,"dst_name":"d","delay_ns":5}`), true},
+	{"event null delay", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":null}`), true},
+	{"null event", afterFastEvent(`null`), true},
+	{"event delay -0", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":-0}`), true},
+	{"event delay leading zero", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":05}`), false},
+	{"event delay 19 digits", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":1234567890123456789}`), true},
+	{"event delay int64 min", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":-9223372036854775808}`), true},
+	{"event delay int64 max+1", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":9223372036854775808}`), false},
+	{"event delay fraction", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5.0}`), false},
+	{"event delay exponent", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5e2}`), false},
+	{"event delay string", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":"5"}`), false},
+	{"event label number", afterFastEvent(`{"label":1,"sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), false},
+	{"event duplicate key", afterFastEvent(`{"label":"a","label":"b","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), false},
+	{"event duplicate delay", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5,"delay_ns":6}`), false},
+	{"event missing field", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","delay_ns":5}`), true},
+	{"event missing delay", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d"}`), true},
+	{"event extra field", afterFastEvent(`{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5,"x":[1]}`), true},
+	{"event extra field first", afterFastEvent(`{"x":1,"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5}`), true},
+	{"event truncated", `{"events":[` + fastEvent + `,{"label":"a","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":5`, false},
+	{"event unterminated label", `{"events":[` + fastEvent + `,{"label":"a`, false},
+}
+
+// fastEvent is an event in exactly the shape json.Marshal writes.
+const fastEvent = `{"label":"xk3d9","sent_proto":"dns","capture_proto":"http","dst_name":"d","delay_ns":7}`
+
+// afterFastEvent wraps events after one fast-path event into a record.
+func afterFastEvent(events string) string {
+	return `{"trial":1,"events":[` + fastEvent + `,` + events + `],"seed":2}`
 }
 
 // sampleRecord is a small record touching every field, encoded by the
@@ -251,7 +314,7 @@ func TestDecodeRecordSeeds(t *testing.T) {
 		if !checkDecodeMatchesJSON(t, payload) {
 			t.Fatal("store-encoded record refused")
 		}
-		rec, err := decodeRecord(payload)
+		rec, _, err := decodeRecord(payload, fullRead)
 		if err != nil || !reflect.DeepEqual(rec, sampleRecord()) {
 			t.Fatalf("round trip: %v\n got %+v\nwant %+v", err, rec, sampleRecord())
 		}
@@ -331,20 +394,27 @@ func syntheticRecord(n int) TrialRecord {
 	return rec
 }
 
-// BenchmarkDecodeFrame decodes one synthetic 20,000-event frame per op;
-// scripts/check.sh gates its allocs/op.
+// BenchmarkDecodeFrame decodes one synthetic 20,000-event frame per op,
+// in full and in summary mode; scripts/check.sh gates the allocs/op of
+// both.
 func BenchmarkDecodeFrame(b *testing.B) {
 	payload, err := json.Marshal(syntheticRecord(20000))
 	if err != nil {
 		b.Fatal(err)
 	}
 	frame := frameOf(payload)
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, ok := decodeFrame(frame); !ok {
-			b.Fatal("frame refused")
-		}
+	for _, bc := range []struct {
+		name string
+		mode readMode
+	}{{"full", fullRead}, {"summary", summaryRead}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.SetBytes(int64(len(frame)))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, _, _, ok := decodeFrame(frame, bc.mode); !ok {
+					b.Fatal("frame refused")
+				}
+			}
+		})
 	}
 }

@@ -215,25 +215,20 @@ func (r HeadlineRow) OverlapsDelayWindow(from, to int64) bool {
 	return true
 }
 
-func rowFrom(rec TrialRecord, ref FrameRef) HeadlineRow {
-	row := HeadlineRow{
-		Trial:    rec.Trial,
-		Seed:     rec.Seed,
-		VStartNS: rec.VStartNS,
-		VEndNS:   rec.VEndNS,
-		Events:   len(rec.Events),
-		Headline: rec.Headline,
-		ref:      ref,
+// rowFrom builds a record's row from its events' summary (see
+// summarize), which a summary decode yields without the events.
+func rowFrom(rec TrialRecord, events eventSummary, ref FrameRef) HeadlineRow {
+	return HeadlineRow{
+		Trial:      rec.Trial,
+		Seed:       rec.Seed,
+		VStartNS:   rec.VStartNS,
+		VEndNS:     rec.VEndNS,
+		Events:     events.n,
+		MinDelayNS: events.min,
+		MaxDelayNS: events.max,
+		Headline:   rec.Headline,
+		ref:        ref,
 	}
-	for i, ev := range rec.Events {
-		if i == 0 || ev.DelayNS < row.MinDelayNS {
-			row.MinDelayNS = ev.DelayNS
-		}
-		if i == 0 || ev.DelayNS > row.MaxDelayNS {
-			row.MaxDelayNS = ev.DelayNS
-		}
-	}
-	return row
 }
 
 // Stats is a snapshot of the store's telemetry counters.
@@ -301,6 +296,9 @@ type Store struct {
 	dirty bool
 
 	rows map[int]HeadlineRow
+	// readBuf holds the frame of the last indexed read. Decoded records
+	// never alias it, so every read reuses it; Close releases it.
+	readBuf []byte
 	// stale marks in-memory index state not yet published to the
 	// sidecar (cleared by publishSidecarLocked).
 	stale bool
@@ -407,8 +405,8 @@ func open(dir string, set *telemetry.Set, readonly bool) (*Store, error) {
 		if err != nil && !errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("runstore: reading trial log: %w", err)
 		}
-		s.end = walkFrames(data, false, func(rec TrialRecord, ref FrameRef) {
-			s.rows[rec.Trial] = rowFrom(rec, ref)
+		s.end = walkFrames(data, false, summaryRead, func(rec TrialRecord, row HeadlineRow) {
+			s.rows[rec.Trial] = row
 			s.m.recordsRead.Inc()
 		})
 		s.m.bytesRead.Add(int64(len(data)))
@@ -537,9 +535,11 @@ func closeOnErr(f *os.File, primary error) error {
 }
 
 // AppendIndexed durably persists one trial record: a single frame write
-// followed by fsync. The record's config hash must match the campaign
-// manifest, and each trial index can be stored only once — duplicates
-// mean the caller re-ran a trial that resume should have served. It
+// followed by fsync. The record must be on the campaign plan (its config
+// hash, a trial inside the plan and that trial's seed; see
+// Manifest.plans), and each trial index can be stored only once —
+// duplicates mean the caller re-ran a trial that resume should have
+// served. A refused record leaves the log untouched. It
 // returns where the record's frame landed in the log — the
 // observability plane announces the offset on its store_appended
 // events. The returned ref is zero when err is non-nil.
@@ -554,6 +554,10 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 	}
 	if rec.ConfigHash != s.manifest.ConfigHash {
 		return FrameRef{}, fmt.Errorf("runstore: record config hash %s does not match campaign %s", rec.ConfigHash, s.manifest.ConfigHash)
+	}
+	if !s.manifest.plans(rec) {
+		return FrameRef{}, fmt.Errorf("runstore: trial %d seed %d is off the plan of campaign %s (%d trials from base seed %d)",
+			rec.Trial, rec.Seed, s.dir, s.manifest.Trials, s.manifest.BaseSeed)
 	}
 	if _, dup := s.rows[rec.Trial]; dup {
 		return FrameRef{}, fmt.Errorf("runstore: trial %d is already stored in %s", rec.Trial, s.dir)
@@ -596,7 +600,7 @@ func (s *Store) AppendIndexed(rec TrialRecord) (FrameRef, error) {
 		return FrameRef{}, fmt.Errorf("runstore: syncing trial %d (log rolls back to offset %d): %w", rec.Trial, s.end, err)
 	}
 	ref := FrameRef{Off: s.end, Len: int64(len(frame))}
-	s.rows[rec.Trial] = rowFrom(rec, ref)
+	s.rows[rec.Trial] = rowFrom(rec, summarize(rec.Events), ref)
 	s.end += ref.Len
 	s.stale = true
 	s.m.recordsWritten.Inc()
@@ -625,21 +629,34 @@ func (s *Store) rollbackLocked() error {
 // means the index points at a frame that no longer decodes — store
 // corruption, not absence.
 func (s *Store) Get(trial int) (TrialRecord, bool, error) {
+	return s.get(trial, fullRead)
+}
+
+// GetWithoutEvents is Get for readers that need no events, such as
+// resume: it checks the stored events as Get does but returns the record
+// with Events nil, so a record's memory stays out of the read however
+// many events it holds.
+func (s *Store) GetWithoutEvents(trial int) (TrialRecord, bool, error) {
+	return s.get(trial, summaryRead)
+}
+
+func (s *Store) get(trial int, mode readMode) (TrialRecord, bool, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	row, ok := s.rows[trial]
 	if !ok {
 		return TrialRecord{}, false, nil
 	}
-	rec, err := s.readFrameLocked(row.ref)
+	rec, err := s.readFrameLocked(row.ref, mode)
 	if err != nil {
 		return TrialRecord{}, true, fmt.Errorf("runstore: reading trial %d: %w", trial, err)
 	}
 	return rec, true, nil
 }
 
-// readFrameLocked reads and decodes one frame via the lazy read handle.
-func (s *Store) readFrameLocked(ref FrameRef) (TrialRecord, error) {
+// readFrameLocked reads and decodes one frame via the lazy read handle
+// into the store's reused read buffer.
+func (s *Store) readFrameLocked(ref FrameRef, mode readMode) (TrialRecord, error) {
 	if s.closed {
 		return TrialRecord{}, fmt.Errorf("campaign %s is closed", s.dir)
 	}
@@ -650,7 +667,10 @@ func (s *Store) readFrameLocked(ref FrameRef) (TrialRecord, error) {
 		}
 		s.rd = f
 	}
-	buf := make([]byte, ref.Len)
+	if int64(cap(s.readBuf)) < ref.Len {
+		s.readBuf = make([]byte, ref.Len)
+	}
+	buf := s.readBuf[:ref.Len]
 	if _, err := s.rd.ReadAt(buf, ref.Off); err != nil {
 		return TrialRecord{}, err
 	}
@@ -658,7 +678,7 @@ func (s *Store) readFrameLocked(ref FrameRef) (TrialRecord, error) {
 	s.m.indexHits.Inc()
 	var rec TrialRecord
 	n := 0
-	valid := walkFrames(buf, false, func(r TrialRecord, _ FrameRef) { rec, n = r, n+1 })
+	valid := walkFrames(buf, false, mode, func(r TrialRecord, _ HeadlineRow) { rec, n = r, n+1 })
 	if n != 1 || valid != ref.Len {
 		return TrialRecord{}, fmt.Errorf("frame at %d+%d does not decode (log corrupted since indexing?)", ref.Off, ref.Len)
 	}
@@ -755,26 +775,27 @@ func (s *Store) Close() error {
 		}
 		s.rd = nil
 	}
+	s.readBuf = nil
 	s.closed = true
 	return errors.Join(errs...)
 }
 
 // walkFrames calls fn for each record frame in data, in file order,
-// with the frame's place in data, and returns how many bytes those
-// frames cover. It is the one reader of the frame layout. Without
-// resync it stops at the first torn or corrupt frame: frames are not
-// self-synchronizing, so to a plain reader everything after it is
-// unreachable — which is why AppendIndexed rolls back failed writes
-// instead of ever letting torn bytes land mid-log. With resync it skips
-// to the next frame magic instead, the salvage mode that recovers
-// records stranded behind a bad frame in logs that predate that
-// guarantee.
-func walkFrames(data []byte, resync bool, fn func(TrialRecord, FrameRef)) (covered int64) {
+// with the record decoded in mode and its row (whose ref is the frame's
+// place in data), and returns how many bytes those frames cover. It is
+// the one reader of the frame layout. Without resync it stops at the
+// first torn or corrupt frame: frames are not self-synchronizing, so to
+// a plain reader everything after it is unreachable — which is why
+// AppendIndexed rolls back failed writes instead of ever letting torn
+// bytes land mid-log. With resync it skips to the next frame magic
+// instead, the salvage mode that recovers records stranded behind a bad
+// frame in logs that predate that guarantee.
+func walkFrames(data []byte, resync bool, mode readMode, fn func(TrialRecord, HeadlineRow)) (covered int64) {
 	off := 0
 	for off < len(data) {
-		rec, n, ok := decodeFrame(data[off:])
+		rec, events, n, ok := decodeFrame(data[off:], mode)
 		if ok {
-			fn(rec, FrameRef{Off: int64(off), Len: int64(n)})
+			fn(rec, rowFrom(rec, events, FrameRef{Off: int64(off), Len: int64(n)}))
 			covered += int64(n)
 			off += n
 			continue
@@ -791,37 +812,38 @@ func walkFrames(data []byte, resync bool, fn func(TrialRecord, FrameRef)) (cover
 	return covered
 }
 
-// decodeFrame decodes the frame at the start of data, returning the
-// record and the frame's total length. ok is false when data does not
-// begin with a complete, well-formed frame — a corrupt length field
-// (negative on 32-bit ints, or absurdly large) is rejected by bound
-// before it can size an allocation or a slice expression. The payload
+// decodeFrame decodes the frame at the start of data in mode, returning
+// the record, its events' summary and the frame's total length. ok is
+// false when data does not begin with a complete, well-formed frame — a
+// corrupt length field (negative on 32-bit ints, or absurdly large) is
+// rejected by bound before it can size an allocation or a slice
+// expression. The payload
 // goes through decodeRecord, the one record decoder (decode.go).
-func decodeFrame(data []byte) (rec TrialRecord, frameLen int, ok bool) {
+func decodeFrame(data []byte, mode readMode) (rec TrialRecord, events eventSummary, frameLen int, ok bool) {
 	if len(data) < headerSize {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
 	if binary.BigEndian.Uint32(data) != recordMagic {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
 	n32 := binary.BigEndian.Uint32(data[4:])
 	if n32 > maxFramePayload {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
 	n := int(n32)
 	sum := binary.BigEndian.Uint32(data[8:])
 	if len(data)-headerSize < n {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
 	payload := data[headerSize : headerSize+n]
 	if crc32.ChecksumIEEE(payload) != sum {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
-	rec, err := decodeRecord(payload)
+	rec, events, err := decodeRecord(payload, mode)
 	if err != nil {
-		return rec, 0, false
+		return rec, events, 0, false
 	}
-	return rec, headerSize + n, true
+	return rec, events, headerSize + n, true
 }
 
 var recordMagicBytes = binary.BigEndian.AppendUint32(nil, recordMagic)
@@ -834,7 +856,7 @@ var recordMagicBytes = binary.BigEndian.AppendUint32(nil, recordMagic)
 // read-only follower's primitive (shadowstore tail) — it never opens a
 // Store and so can never trigger writable-mode tail repair.
 func DecodeRecords(data []byte) (recs []TrialRecord, valid int64) {
-	valid = walkFrames(data, false, func(rec TrialRecord, _ FrameRef) { recs = append(recs, rec) })
+	valid = walkFrames(data, false, fullRead, func(rec TrialRecord, _ HeadlineRow) { recs = append(recs, rec) })
 	return recs, valid
 }
 
@@ -848,7 +870,7 @@ func LogOffsets(dir string) ([]int64, error) {
 		return nil, err
 	}
 	var offs []int64
-	walkFrames(data, false, func(_ TrialRecord, ref FrameRef) { offs = append(offs, ref.Off) })
+	walkFrames(data, false, summaryRead, func(_ TrialRecord, row HeadlineRow) { offs = append(offs, row.ref.Off) })
 	return offs, nil
 }
 

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 
@@ -254,6 +256,118 @@ func TestAppendValidation(t *testing.T) {
 	bad.ConfigHash = "other"
 	if _, err := s.AppendIndexed(bad); err == nil {
 		t.Error("config-hash mismatch append did not fail")
+	}
+}
+
+// TestAppendRefusesOffPlanRecords: a record off the campaign plan (a
+// negative trial, a trial past the plan, or a seed the plan does not give
+// its trial) can never be resumed, and Compact and Merge drop it, so
+// AppendIndexed must refuse it before it touches the log.
+func TestAppendRefusesOffPlanRecords(t *testing.T) {
+	dir := t.TempDir() + "/camp"
+	s, err := Create(dir, testManifest(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.AppendIndexed(testRecord(0)); err != nil {
+		t.Fatal(err)
+	}
+	before, err := os.ReadFile(LogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	reseeded := testRecord(1)
+	reseeded.Seed = 99
+	for _, c := range []struct {
+		name string
+		rec  TrialRecord
+	}{
+		{"negative trial", testRecord(-1)},
+		{"trial past the plan", testRecord(testManifest().Trials)},
+		{"seed off the plan", reseeded},
+	} {
+		if ref, err := s.AppendIndexed(c.rec); err == nil {
+			t.Errorf("%s: trial %d seed %d appended at %+v", c.name, c.rec.Trial, c.rec.Seed, ref)
+		}
+	}
+	after, err := os.ReadFile(LogPath(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatalf("refused appends changed trials.log: %d -> %d bytes", len(before), len(after))
+	}
+	if s.Len() != 1 {
+		t.Fatalf("store holds %d records after the refused appends, want 1", s.Len())
+	}
+	if _, err := s.AppendIndexed(testRecord(1)); err != nil {
+		t.Fatalf("trial 1 on its planned seed after the refusals: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(HeadlinesPath(dir)); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenReadOnly(dir, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	if got := storedRecords(t, r); len(got) != 2 || got[1].Seed != 101 {
+		t.Errorf("rescanned store holds %+v, want trials 0 and 1 on plan", got)
+	}
+}
+
+// TestGetWithoutEvents: the resume read returns the record Get returns
+// with Events nil, and for a record of a small trial's size (events are
+// nearly all of it) allocates at most a third of what Get allocates.
+func TestGetWithoutEvents(t *testing.T) {
+	rec := syntheticRecord(18000)
+	man := Manifest{Version: StoreVersion, ConfigHash: rec.ConfigHash,
+		BaseSeed: rec.Seed - int64(rec.Trial), Trials: rec.Trial + 1, Scale: "small"}
+	s, err := Create(t.TempDir()+"/camp", man, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	if _, err := s.AppendIndexed(rec); err != nil {
+		t.Fatal(err)
+	}
+	full, ok, err := s.Get(rec.Trial)
+	if err != nil || !ok {
+		t.Fatalf("Get = ok %v, err %v", ok, err)
+	}
+	brief, ok, err := s.GetWithoutEvents(rec.Trial)
+	if err != nil || !ok {
+		t.Fatalf("GetWithoutEvents = ok %v, err %v", ok, err)
+	}
+	if !reflect.DeepEqual(full, rec) {
+		t.Fatal("Get does not return the appended record")
+	}
+	full.Events = nil
+	if !reflect.DeepEqual(brief, full) {
+		t.Fatalf("GetWithoutEvents differs from Get without events:\n got %+v\nwant %+v", brief, full)
+	}
+	if _, ok, err := s.GetWithoutEvents(rec.Trial + 1); ok || err != nil {
+		t.Errorf("GetWithoutEvents of an absent trial = ok %v, err %v", ok, err)
+	}
+	allocated := func(read func(int) (TrialRecord, bool, error)) uint64 {
+		const reads = 4
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for i := 0; i < reads; i++ {
+			if _, ok, err := read(rec.Trial); !ok || err != nil {
+				t.Fatalf("read = ok %v, err %v", ok, err)
+			}
+		}
+		runtime.ReadMemStats(&m1)
+		return (m1.TotalAlloc - m0.TotalAlloc) / reads
+	}
+	get, resume := allocated(s.Get), allocated(s.GetWithoutEvents)
+	t.Logf("bytes allocated per read: Get %d, GetWithoutEvents %d", get, resume)
+	if resume*3 > get {
+		t.Errorf("GetWithoutEvents allocates %d bytes per read, over a third of Get's %d", resume, get)
 	}
 }
 

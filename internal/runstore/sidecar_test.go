@@ -322,7 +322,8 @@ func FuzzDecodeSidecars(f *testing.F) {
 	rows := map[int]HeadlineRow{}
 	refs := map[int]FrameRef{0: {Off: 0, Len: 300}, 1: {Off: 300, Len: 280}, 7: {Off: 580, Len: 9000}}
 	for t, ref := range refs {
-		rows[t] = rowFrom(testRecord(t), ref)
+		rec := testRecord(t)
+		rows[t] = rowFrom(rec, summarize(rec.Events), ref)
 	}
 	delete(rows[1].Headline, "captures")
 	body := func(sidecar []byte) []byte { return sidecar[8 : len(sidecar)-4] }

@@ -99,9 +99,10 @@ echo "== runstore frame decoder differential fuzz smoke"
 # Every store read (resume, show, retention, tail, compact, merge) decodes
 # frames with the schema-specific record decoder: it must accept exactly
 # what json.Unmarshal accepts and return the same TrialRecord, refusing
-# only objects that name a field twice. One seed is a real 137 KB record,
-# and minimizing each input it grows would eat the whole smoke, so
-# minimization is capped. A crasher lands in
+# only objects that name a field twice; its summary mode must give the
+# same verdict and the same record without events. One seed is a real
+# 137 KB record, and minimizing each input it grows would eat the whole
+# smoke, so minimization is capped. A crasher lands in
 # internal/runstore/testdata/fuzz/ and belongs in the commit.
 go test -run '^$' -fuzz '^FuzzDecodeFrame$' -fuzztime 10s -fuzzminimizetime 200x ./internal/runstore
 
@@ -447,11 +448,21 @@ echo "== runstore record-decode allocation gate"
 # pooled scratch is sized from the first event, so the count holds when
 # the GC has emptied the pool. The ceiling leaves about 5% headroom;
 # per-event allocations would add thousands.
-allocs=$(go test -run '^$' -bench BenchmarkDecodeFrame -benchmem ./internal/runstore |
-    awk '/BenchmarkDecodeFrame/ {print $(NF-1)}')
-echo "BenchmarkDecodeFrame: $allocs allocs/op"
+bench_out=$(go test -run '^$' -bench BenchmarkDecodeFrame -benchmem ./internal/runstore)
+allocs=$(echo "$bench_out" | awk 'index($1, "BenchmarkDecodeFrame/full-") == 1 {print $(NF-1)}')
+echo "BenchmarkDecodeFrame/full: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 139 ]; then
     echo "record-decode allocations regressed: $allocs allocs/op (gate: 139)" >&2
+    exit 1
+fi
+# A summary decode (resume, open's rebuild scan, salvage) checks every
+# event but keeps none: its 86 allocations are the headline, metrics and
+# spans, whatever the number of events. The ceiling leaves about 5%
+# headroom; an allocation per event would add 20,000.
+allocs=$(echo "$bench_out" | awk 'index($1, "BenchmarkDecodeFrame/summary-") == 1 {print $(NF-1)}')
+echo "BenchmarkDecodeFrame/summary: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 90 ]; then
+    echo "summary-decode allocations regressed: $allocs allocs/op (gate: 90)" >&2
     exit 1
 fi
 

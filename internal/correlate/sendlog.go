@@ -60,6 +60,9 @@ type sendLog struct {
 
 	kinds   []sentKind
 	kindIdx map[sentKind]uint32
+	// lastKind is the index kind returned last. Consecutive decoys
+	// almost always share a kind, so kind checks it before hashing.
+	lastKind uint32
 
 	// leaked caches the Sent built for each decoy that has produced an
 	// unsolicited capture, so all of its events share one record.
@@ -161,13 +164,17 @@ func (l *sendLog) index(j uint32) {
 // kind returns the table index of k, adding it on first sight with copies
 // of its strings, so a suffix does not pin the domain it was cut from.
 func (l *sendLog) kind(k sentKind) uint32 {
-	if i, ok := l.kindIdx[k]; ok {
-		return i
+	if int(l.lastKind) < len(l.kinds) && l.kinds[l.lastKind] == k {
+		return l.lastKind
 	}
-	k.dstName, k.suffix = strings.Clone(k.dstName), strings.Clone(k.suffix)
-	i := uint32(len(l.kinds))
-	l.kinds = append(l.kinds, k)
-	l.kindIdx[k] = i
+	i, ok := l.kindIdx[k]
+	if !ok {
+		k.dstName, k.suffix = strings.Clone(k.dstName), strings.Clone(k.suffix)
+		i = uint32(len(l.kinds))
+		l.kinds = append(l.kinds, k)
+		l.kindIdx[k] = i
+	}
+	l.lastKind = i
 	return i
 }
 

@@ -170,6 +170,11 @@ type Deployment struct {
 	//
 	//shadowlint:eventloop
 	req httpwire.Request
+	// hello is ClientHello parse scratch under the same contract: only
+	// its server name, a fresh string, outlives the handler.
+	//
+	//shadowlint:eventloop
+	hello tlswire.ClientHello
 
 	// notFound, homepageResp and badRequest are the static HTTP replies,
 	// encoded once at deploy time; the host copies a reply into its packet,
@@ -327,12 +332,11 @@ func (d *Deployment) handleHTTP(n *netsim.Network, s *Site, from wire.Endpoint, 
 
 // handleTLS answers ClientHellos with a minimal ServerHello and logs SNI.
 func (d *Deployment) handleTLS(n *netsim.Network, s *Site, from wire.Endpoint, payload []byte) []byte {
-	ch, err := tlswire.ParseClientHello(payload)
-	if err != nil {
+	if err := tlswire.ParseClientHelloInto(&d.hello, payload); err != nil {
 		d.m.unparseable.Inc()
 		return nil
 	}
-	name := dnswire.Canonical(ch.ServerName)
+	name := dnswire.Canonical(d.hello.ServerName)
 	d.Log.Append(Capture{
 		Time: n.Now(), Location: s.Location, Protocol: decoy.TLS,
 		Source: from, Domain: name, Label: firstIdentifierLabel(name),

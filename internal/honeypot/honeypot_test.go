@@ -128,7 +128,7 @@ func TestHTTPCaptureAndHomepage(t *testing.T) {
 	var body []byte
 	req := httpwire.NewGET(name, "/").Encode()
 	client.SendTCPRequest(n, wire.Endpoint{Addr: d.Sites[1].WebAddr, Port: 80}, req, netsim.TCPRequestOpts{
-		OnResponse: func(n *netsim.Network, payload []byte) { body = payload },
+		OnResponse: func(n *netsim.Network, payload []byte) { body = append([]byte(nil), payload...) },
 	})
 	n.RunUntilIdle()
 	resp, err := httpwire.ParseResponse(body)
@@ -145,7 +145,7 @@ func TestHTTPCaptureAndHomepage(t *testing.T) {
 	// Enumeration path gets 404 and is logged with the path.
 	req = httpwire.NewGET(name, "/admin/").Encode()
 	client.SendTCPRequest(n, wire.Endpoint{Addr: d.Sites[1].WebAddr, Port: 80}, req, netsim.TCPRequestOpts{
-		OnResponse: func(n *netsim.Network, payload []byte) { body = payload },
+		OnResponse: func(n *netsim.Network, payload []byte) { body = append([]byte(nil), payload...) },
 	})
 	n.RunUntilIdle()
 	resp, err = httpwire.ParseResponse(body)
@@ -176,7 +176,7 @@ func TestTLSCapture(t *testing.T) {
 	}
 	var got []byte
 	client.SendTCPRequest(n, wire.Endpoint{Addr: d.Sites[2].WebAddr, Port: 443}, payload, netsim.TCPRequestOpts{
-		OnResponse: func(n *netsim.Network, resp []byte) { got = resp },
+		OnResponse: func(n *netsim.Network, resp []byte) { got = append([]byte(nil), resp...) },
 	})
 	n.RunUntilIdle()
 	if _, err := tlswire.ParseServerHello(got); err != nil {

@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -17,7 +18,9 @@ import (
 // Package is one parsed and type-checked package of the module under
 // analysis. Test files are excluded: the analyzers enforce determinism
 // of the shipped simulation code, while tests are free to exercise real
-// sockets and wall-clock deadlines.
+// sockets and wall-clock deadlines. So are files the default build leaves
+// out by their build constraints, as go build does: a package may define
+// one name in two files with opposite constraints.
 type Package struct {
 	// Path is the full import path ("shadowmeter/internal/netsim").
 	Path string
@@ -114,6 +117,13 @@ func (l *Loader) Load(importPath string) (*Package, error) {
 	for _, e := range entries {
 		name := e.Name()
 		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %s: %w", name, err)
+		}
+		if !match {
 			continue
 		}
 		f, err := parser.ParseFile(l.Fset, filepath.Join(dir, name), nil, parser.ParseComments)

@@ -43,13 +43,15 @@ type Host struct {
 //
 // Payload ownership, here and for TCPApp, UDPRequestOpts.OnReply and
 // TCPRequestOpts.OnResponse: the payload slice aliases the delivered
-// packet's own buffer, with no copy. That buffer is immutable once
-// delivered and never reused (releaseFlight drops it; it is never pooled),
-// so a handler may keep the slice, or sub-slices of it, for as long as it
-// likes. A handler must not write to it; its capacity is capped at its
-// length, so an append always copies. The reply is copied into a fresh
-// packet before the handler's next call, so it may be scratch or a shared
-// constant.
+// packet's own buffer, with no copy, and is valid only for the duration of
+// the call. Once the handler returns, the buffer goes back to the
+// network's pool and carries a later packet, so a handler that keeps any
+// of the payload's bytes (a string conversion, a decode into fresh
+// storage, an explicit copy) must make its copy before it returns. A
+// handler must not write to the payload; its capacity is capped at its
+// length, so an append always copies. The reply is copied into a packet
+// of its own before the handler's next call, so it may be scratch, a
+// shared constant or the payload itself.
 type UDPService func(n *Network, from wire.Endpoint, payload []byte) []byte
 
 // TCPApp handles one request payload on an accepted TCP "connection" and
@@ -116,7 +118,7 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 	// Server side.
 	if svc, ok := h.udpServices[pkt.UDP.DstPort]; ok {
 		if reply := svc(n, from, payloadOf(pkt.UDP.Payload())); reply != nil {
-			h.sendUDPRaw(n, wire.Endpoint{Addr: h.Addr, Port: pkt.UDP.DstPort}, from, 64, reply)
+			n.InjectUDP(wire.Endpoint{Addr: h.Addr, Port: pkt.UDP.DstPort}, from, 64, h.ipID(0), reply)
 		}
 		return true
 	}
@@ -224,11 +226,7 @@ func (h *Host) SendUDPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 	w.onReply, w.onTimeout = opts.OnReply, opts.OnTimeout
 	w.key = udpWaiterKey{dst: dst, sport: sport}
 	h.udpWaiters[w.key] = w
-	src := wire.Endpoint{Addr: h.Addr, Port: sport}
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(opts.IPID), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.InjectUDP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), payload)
 	e := n.newEvent()
 	e.host, e.udpW, e.gen = h, w, w.gen
 	n.scheduleEvent(timeout, e)
@@ -247,17 +245,7 @@ func (h *Host) sendUDPFrom(n *Network, src, dst wire.Endpoint, ttl uint8, ipID u
 	if ttl == 0 {
 		ttl = 64
 	}
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(ipID), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
-}
-
-func (h *Host) sendUDPRaw(n *Network, src, dst wire.Endpoint, ttl uint8, payload []byte) {
-	raw, err := wire.BuildUDP(src, dst, ttl, h.ipID(0), payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.InjectUDP(src, dst, ttl, h.ipID(ipID), payload)
 }
 
 type tcpFlowKey struct {
@@ -362,11 +350,7 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 	fl.isn = uint32(sport)<<16 | 0x1234
 	fl.key = tcpFlowKey{remote: dst, local: sport}
 	h.tcpFlows[fl.key] = fl
-	src := wire.Endpoint{Addr: h.Addr, Port: sport}
-	raw, err := wire.BuildTCP(src, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.InjectTCP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
 	e := n.newEvent()
 	e.host, e.tcpFlow, e.gen = h, fl, fl.gen
 	n.scheduleEvent(timeout, e)
@@ -378,10 +362,7 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 // handshakes with destinations before tracerouting").
 func (h *Host) SendRawTCPPayload(n *Network, dst wire.Endpoint, ttl uint8, ipID uint16, payload []byte) {
 	src := wire.Endpoint{Addr: h.Addr, Port: h.allocPort()}
-	raw, err := wire.BuildTCP(src, dst, ttl, h.ipID(ipID), wire.TCPPsh|wire.TCPAck, 1, 1, payload)
-	if err == nil {
-		n.InjectOwned(raw)
-	}
+	n.InjectTCP(src, dst, ttl, h.ipID(ipID), wire.TCPPsh|wire.TCPAck, 1, 1, payload)
 }
 
 func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
@@ -405,14 +386,8 @@ func (h *Host) handleTCP(n *Network, pkt *wire.Packet) bool {
 	case fl.state == flowSynSent && t.Flags&wire.TCPSyn != 0 && t.Flags&wire.TCPAck != 0:
 		fl.state = flowEstablished
 		// Final handshake ACK, then the request payload.
-		ack, err := wire.BuildTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPAck, fl.isn+1, t.Seq+1, nil)
-		if err == nil {
-			n.InjectOwned(ack)
-		}
-		data, err := wire.BuildTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPPsh|wire.TCPAck, fl.isn+1, t.Seq+1, fl.payload)
-		if err == nil {
-			n.InjectOwned(data)
-		}
+		n.InjectTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPAck, fl.isn+1, t.Seq+1, nil)
+		n.InjectTCP(local, from, fl.ttl, h.ipID(fl.ipID), wire.TCPPsh|wire.TCPAck, fl.isn+1, t.Seq+1, fl.payload)
 		return true
 	case fl.state == flowSynSent && t.Flags&wire.TCPRst != 0:
 		cb := fl.onFail
@@ -441,19 +416,13 @@ func (h *Host) serveTCP(n *Network, app TCPApp, from wire.Endpoint, t *wire.TCP)
 	switch {
 	case t.Flags&wire.TCPSyn != 0 && t.Flags&wire.TCPAck == 0:
 		sisn := uint32(t.SrcPort)<<16 | 0x5678
-		raw, err := wire.BuildTCP(local, from, 64, h.ipID(0), wire.TCPSyn|wire.TCPAck, sisn, t.Seq+1, nil)
-		if err == nil {
-			n.InjectOwned(raw)
-		}
+		n.InjectTCP(local, from, 64, h.ipID(0), wire.TCPSyn|wire.TCPAck, sisn, t.Seq+1, nil)
 	case len(t.Payload()) > 0:
 		resp := app(n, from, payloadOf(t.Payload()))
 		if resp == nil {
 			return
 		}
-		raw, err := wire.BuildTCP(local, from, 64, h.ipID(0), wire.TCPPsh|wire.TCPAck|wire.TCPFin, t.Ack, t.Seq+uint32(len(t.Payload())), resp)
-		if err == nil {
-			n.InjectOwned(raw)
-		}
+		n.InjectTCP(local, from, 64, h.ipID(0), wire.TCPPsh|wire.TCPAck|wire.TCPFin, t.Ack, t.Seq+uint32(len(t.Payload())), resp)
 	}
 }
 

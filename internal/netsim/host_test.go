@@ -27,7 +27,7 @@ func TestUDPRequestResponse(t *testing.T) {
 
 	var reply []byte
 	client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte("query"), UDPRequestOpts{
-		OnReply: func(n *Network, payload []byte) { reply = payload },
+		OnReply: func(n *Network, payload []byte) { reply = append([]byte(nil), payload...) },
 	})
 	n.RunUntilIdle()
 	if string(reply) != "re:query" {
@@ -82,7 +82,7 @@ func TestTCPRequestResponse(t *testing.T) {
 
 	var resp []byte
 	client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, []byte("GET / HTTP/1.1\r\nHost: x\r\n\r\n"), TCPRequestOpts{
-		OnResponse: func(n *Network, payload []byte) { resp = payload },
+		OnResponse: func(n *Network, payload []byte) { resp = append([]byte(nil), payload...) },
 	})
 	n.RunUntilIdle()
 	if len(resp) == 0 || string(resp[:15]) != "HTTP/1.1 200 OK" {
@@ -234,93 +234,145 @@ func TestConcurrentUDPRequestsSameDst(t *testing.T) {
 	}
 }
 
-// payloadTap records where every non-empty transport payload crossing its
-// router lives: the address of its first byte in the in-flight buffer.
-type payloadTap struct{ seen map[*byte]bool }
+// bufferTap maps every packet crossing its router to the buffer carrying
+// it, identified by the address of the first byte after the IP header,
+// and notes the last round each buffer was seen in.
+type bufferTap struct {
+	round     int
+	bufOf     map[*byte]*byte // transport payload's first byte -> buffer
+	lastRound map[*byte]int
+}
 
-func (p *payloadTap) Observe(_ *Network, _ *Router, pkt *wire.Packet) {
-	var pl []byte
-	switch {
-	case pkt.UDP != nil:
-		pl = pkt.UDP.Payload()
-	case pkt.TCP != nil:
-		pl = pkt.TCP.Payload()
-	}
-	if len(pl) > 0 {
-		p.seen[&pl[0]] = true
+func (p *bufferTap) Observe(_ *Network, _ *Router, pkt *wire.Packet) {
+	buf := &pkt.IP.Payload()[0]
+	p.lastRound[buf] = p.round
+	if pl := pkt.TransportPayload(); len(pl) > 0 {
+		p.bufOf[&pl[0]] = buf
 	}
 }
 
-// TestDeliveredPayloadsAliasPacketBuffer checks the packet-ownership rule
+// TestDeliveredPayloadsAreCallScopedViews checks the packet-ownership rule
 // on all four delivery paths: a UDP service, a UDP reply callback, a TCP
-// app and a TCP response callback each get a slice of the delivered
-// packet's own buffer (the one taps saw in flight), capacity-capped, and
-// the bytes a handler kept stay unchanged while the network goes on to
-// dispatch more traffic through the same pooled flights and events.
-func TestDeliveredPayloadsAliasPacketBuffer(t *testing.T) {
+// app and a TCP response callback each get a capacity-capped slice of the
+// delivered packet's own buffer (the one taps saw in flight), and once
+// the handler has returned that buffer goes back to the pool and carries
+// a later packet.
+func TestDeliveredPayloadsAreCallScopedViews(t *testing.T) {
 	n, routers := twoRouterNet()
-	tap := &payloadTap{seen: make(map[*byte]bool)}
+	tap := &bufferTap{bufOf: make(map[*byte]*byte), lastRound: make(map[*byte]int)}
 	routers[1].AttachTap(tap)
 	client := NewHost(n, wire.AddrFrom(100, 0, 0, 1))
 	server := NewHost(n, wire.AddrFrom(192, 0, 2, 80))
 
-	type kept struct {
-		who  string
-		b    []byte
-		want string
+	type view struct {
+		who string
+		buf *byte
 	}
-	var held []kept
-	holding := true
-	hold := func(who string, b []byte) {
-		if !holding {
+	var views []view
+	see := func(who string, b []byte) {
+		if tap.round != 0 {
 			return
 		}
-		if len(b) == 0 || !tap.seen[&b[0]] {
+		var buf *byte
+		if len(b) > 0 {
+			buf = tap.bufOf[&b[0]]
+		}
+		if buf == nil {
 			t.Errorf("%s payload %q is not the delivered packet's buffer", who, b)
+			return
 		}
 		if cap(b) != len(b) {
 			t.Errorf("%s payload has cap %d beyond its len %d: an append would write into the packet", who, cap(b), len(b))
 		}
-		held = append(held, kept{who, b, string(b)})
+		views = append(views, view{who, buf})
 	}
 	server.ServeUDP(53, func(n *Network, from wire.Endpoint, payload []byte) []byte {
-		hold("UDPService", payload)
+		see("UDPService", payload)
 		return append([]byte("re:"), payload...)
 	})
 	server.ServeTCP(80, func(n *Network, from wire.Endpoint, payload []byte) []byte {
-		hold("TCPApp", payload)
+		see("TCPApp", payload)
 		return append([]byte("HTTP/1.1 200 OK\r\n\r\n"), payload...)
 	})
 	send := func(i int) {
 		client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte(fmt.Sprintf("query-%d", i)), UDPRequestOpts{
-			OnReply: func(n *Network, payload []byte) { hold("OnReply", payload) },
+			OnReply: func(n *Network, payload []byte) { see("OnReply", payload) },
 		})
 		client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, []byte(fmt.Sprintf("GET /%d", i)), TCPRequestOpts{
-			OnResponse: func(n *Network, payload []byte) { hold("OnResponse", payload) },
+			OnResponse: func(n *Network, payload []byte) { see("OnResponse", payload) },
 		})
 	}
 	send(0)
-	// A datagram whose buffer has spare capacity past its payload: only
-	// the cap on the delivered slice keeps an append out of that space.
-	raw, err := wire.BuildUDP(wire.Endpoint{Addr: client.Addr, Port: 4000}, wire.Endpoint{Addr: server.Addr, Port: 53}, 64, 1, []byte("spare"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	n.InjectOwned(append(make([]byte, 0, len(raw)+32), raw...))
 	n.RunUntilIdle()
-	if len(held) != 5 {
-		t.Fatalf("handlers kept %d payloads, want 5 (two UDP services, then one per other path)", len(held))
+	if len(views) != 4 {
+		t.Fatalf("handlers saw %d payloads, want 4 (one per delivery path)", len(views))
 	}
-	holding = false
+	tap.round = 1
 	for i := 1; i <= 64; i++ {
 		send(i)
 	}
 	n.RunUntilIdle()
-	for _, k := range held {
-		if string(k.b) != k.want {
-			t.Errorf("%s payload changed after later traffic: %q, was %q", k.who, k.b, k.want)
+	for _, v := range views {
+		if tap.lastRound[v.buf] != 1 {
+			t.Errorf("%s payload's buffer never carried a later packet: the pool did not hand it out again", v.who)
 		}
 	}
+}
+
+// TestBufferPoolStaysBounded checks that every packet's buffer returns to
+// the pool, whichever way the packet dies (delivery, TTL expiry, no
+// route): over 10,000 sequential rounds the pool holds no more buffers
+// than after the first.
+func TestBufferPoolStaysBounded(t *testing.T) {
+	routers := []*Router{{Addr: wire.AddrFrom(10, 0, 0, 1)}, {Addr: wire.AddrFrom(10, 0, 0, 2)}}
+	unrouted := wire.AddrFrom(198, 51, 100, 1)
+	n := New(Config{Start: t0, Path: func(src, dst wire.Addr) []*Router {
+		if dst == unrouted {
+			return nil
+		}
+		return routers
+	}})
+	client := NewHost(n, wire.AddrFrom(100, 0, 0, 1))
+	server := NewHost(n, wire.AddrFrom(192, 0, 2, 53))
+	server.ServeUDP(53, func(n *Network, from wire.Endpoint, payload []byte) []byte { return payload })
+	server.ServeTCP(80, func(n *Network, from wire.Endpoint, payload []byte) []byte { return payload })
+	query, get, probe := []byte("query"), []byte("GET / HTTP/1.1\r\n\r\n"), []byte("probe")
+	round := func() {
+		client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, query, UDPRequestOpts{})
+		client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, get, TCPRequestOpts{})
+		client.SendUDPOneShot(n, wire.Endpoint{Addr: server.Addr, Port: 33434}, 1, 0, probe) // expires at the first router
+		client.SendUDPOneShot(n, wire.Endpoint{Addr: unrouted, Port: 53}, 64, 0, probe)
+		n.RunUntilIdle()
+	}
+	round()
+	first := n.bufs.size()
+	if first == 0 {
+		t.Fatal("no buffer returned to the pool after the first round")
+	}
+	// Once the pools are warm a round allocates nothing: a buffer that did
+	// not come back would be replaced by a fresh one. AllocsPerRun runs
+	// 101 rounds.
+	if allocs := testing.AllocsPerRun(100, round); allocs != 0 {
+		t.Errorf("a warm round allocates %.1f times, want 0", allocs)
+	}
+	for i := 1 + 101; i < 10000; i++ {
+		round()
+	}
+	if got := n.bufs.size(); got != first {
+		t.Fatalf("pool holds %d buffers after 10,000 rounds, %d after the first", got, first)
+	}
+	if s := n.Stats(); s.TTLExpired != 10000 || s.NoRoute != 10000 {
+		t.Fatalf("stats %+v: want 10,000 TTL expiries and 10,000 unrouted sends", s)
+	}
+}
+
+// size reports how many buffers the pool holds.
+func (p *bufPool) size() int {
+	k := 0
+	for _, free := range p {
+		k += len(free)
+	}
+	return k
 }
 
 func BenchmarkEndToEndUDP(b *testing.B) {

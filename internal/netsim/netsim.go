@@ -23,11 +23,13 @@
 // All execution is single goroutine and fully deterministic for a given
 // seed and call order.
 //
-// Packet ownership: a packet buffer is written only while it is built and,
-// in flight, by the per-hop TTL rewrite. Once delivered it is immutable and
-// never reused, so hosts hand each handler a slice of the delivered buffer
-// itself instead of a copy (see UDPService), and that slice stays valid for
-// the rest of the run.
+// Packet ownership: every injected packet is built into a buffer from the
+// Network's pool (see bufPool). It is written only while it is built and,
+// in flight, by the per-hop TTL rewrite, and it returns to the pool where
+// the packet dies: after its delivery's handler returns, or when a router
+// drops it. Taps, handlers and callbacks therefore see the packet's own
+// bytes, not a copy (see UDPService), but only for the duration of their
+// call: whatever they keep past it they must copy.
 package netsim
 
 import (
@@ -69,7 +71,8 @@ func (r *Router) AttachTap(t Tap) { r.taps = append(r.taps, t) }
 func (r *Router) Taps() []Tap { return append([]Tap(nil), r.taps...) }
 
 // Tap is an on-path observer device: it inspects every packet arriving at
-// its router. Taps must not mutate the packet; they may call back into the
+// its router. Taps must not mutate the packet, and pkt and the bytes it
+// points into are valid only for the call; they may call back into the
 // Network to schedule their own traffic (that is what a traffic-shadowing
 // exhibitor does).
 type Tap interface {
@@ -78,7 +81,8 @@ type Tap interface {
 
 // Handler terminates packets at a host address (resolver, web server,
 // honeypot, vantage point...). The packet's transport payload has already
-// been decoded by the network's parser.
+// been decoded by the network's parser; pkt and the bytes it points into
+// are valid only for the call.
 type Handler interface {
 	Handle(net *Network, pkt *wire.Packet)
 }
@@ -124,9 +128,10 @@ type Config struct {
 	// Telemetry receives the simulator's metrics and progress ticks. Nil
 	// creates a private set, so the hot path never nil-checks.
 	Telemetry *telemetry.Set
-	// Arena, when non-nil, seeds the event/flight pools from a previous
-	// world's harvest (see Arena). Purely an allocation amortization: a
-	// world behaves identically with or without one.
+	// Arena, when non-nil, seeds the event, flight and packet-buffer
+	// pools from a previous world's harvest (see Arena). Purely an
+	// allocation amortization: a world behaves identically with or without
+	// one.
 	Arena *Arena
 }
 
@@ -161,10 +166,12 @@ type Network struct {
 	tapObserves map[*Router]*telemetry.Counter
 
 	// freeEvents and freeFlights recycle the event-loop's two per-hop
-	// objects. The worker-pool campaign runner hammers this path with one
-	// world per goroutine; pooling keeps the steady state allocation-free.
+	// objects, and bufs the packet buffers. The worker-pool campaign runner
+	// hammers this path with one world per goroutine; pooling keeps the
+	// steady state allocation-free.
 	freeEvents  []*event
 	freeFlights []*flight
+	bufs        bufPool
 
 	maxEvents int64 // safety valve against runaway schedules; 0 = unlimited
 }
@@ -352,26 +359,29 @@ func (n *Network) newFlight(pkt []byte, origin wire.Addr, path []*Router) *fligh
 	return f
 }
 
-// releaseFlight drops a flight's buffer references and pools the struct.
-// The packet buffer itself is never reused: honeypot captures and decoded
-// payloads may alias it for the rest of the run.
+// releaseFlight ends a flight: its packet buffer returns to the pool and
+// the struct to its own.
 func (n *Network) releaseFlight(f *flight) {
+	n.bufs.put(f.pkt)
 	f.pkt, f.path = nil, nil
 	n.freeFlights = append(n.freeFlights, f)
 }
 
-// Arena carries a Network's recyclable scratch — the event and flight free
-// lists plus the drained heap and hop-lane backing arrays — across Network
-// lifetimes. A campaign worker running many single-trial worlds in
-// sequence attaches one arena to each world in turn, so the event loop's
-// steady-state pool is grown once per worker instead of once per trial.
-// Pooled objects are fully re-initialized on acquisition and hold no
-// references after release, so reuse cannot leak state between worlds. An
-// arena belongs to one goroutine at a time; hand-off between worlds must
-// be externally ordered (the runner keeps one per worker).
+// Arena carries a Network's recyclable scratch — the event, flight and
+// packet-buffer free lists plus the drained heap and hop-lane backing
+// arrays — across Network lifetimes. A campaign worker running many
+// single-trial worlds in sequence attaches one arena to each world in
+// turn, so the event loop's steady-state pool is grown once per worker
+// instead of once per trial. Pooled objects are fully re-initialized on
+// acquisition (a packet buffer by the build that overwrites every byte of
+// it) and hold no references after release, so reuse cannot leak state
+// between worlds. An arena belongs to one goroutine at a time; hand-off
+// between worlds must be externally ordered (the runner keeps one per
+// worker).
 type Arena struct {
 	events      []*event
 	flights     []*flight
+	bufs        bufPool
 	heapBacking eventHeap
 	laneBacking []heapEntry
 }
@@ -381,6 +391,7 @@ type Arena struct {
 func (a *Arena) attach(n *Network) {
 	n.freeEvents, a.events = a.events, nil
 	n.freeFlights, a.flights = a.flights, nil
+	n.bufs, a.bufs = a.bufs, bufPool{}
 	if cap(a.heapBacking) > 0 {
 		n.events, a.heapBacking = a.heapBacking[:0], nil
 	}
@@ -400,6 +411,7 @@ func (a *Arena) Harvest(n *Network) {
 	}
 	a.events, n.freeEvents = n.freeEvents, nil
 	a.flights, n.freeFlights = n.freeFlights, nil
+	a.bufs, n.bufs = n.bufs, bufPool{}
 	if len(n.events) == 0 {
 		a.heapBacking, n.events = n.events[:0], nil
 	}
@@ -413,39 +425,16 @@ func (a *Arena) Harvest(n *Network) {
 // at every router it reaches; TTL expiry produces ICMP Time Exceeded back
 // to the source. Errors are returned only for unparseable packets —
 // routing failures are counted in Stats, as on the real Internet the
-// sender learns nothing synchronously.
+// sender learns nothing synchronously. The network sends a copy of raw,
+// so the caller keeps its buffer.
 func (n *Network) SendPacket(raw []byte) error {
-	// Copy: the caller may reuse its buffer, and routers mutate TTL.
-	return n.SendPacketOwned(append([]byte(nil), raw...))
-}
-
-// SendPacketOwned is SendPacket for buffers the caller hands over: the
-// network takes ownership of raw (routers mutate its TTL in place, and
-// captures may alias it for the rest of the run), so the caller must not
-// touch the buffer afterwards. Freshly built packets take this path to
-// skip SendPacket's defensive copy.
-func (n *Network) SendPacketOwned(raw []byte) error {
 	var probe wire.IPv4
 	if err := probe.DecodeFromBytes(raw); err != nil {
 		return fmt.Errorf("netsim: refusing to send unparseable packet: %w", err)
 	}
-	n.stats.PacketsSent++
-	n.m.packetsSent.Inc()
-	src, dst := probe.Src, probe.Dst
-
-	var path []*Router
-	if n.pathFn != nil {
-		path = n.pathFn(src, dst)
-		if path == nil && src != dst {
-			// No route at all (distinct from the empty direct path). This
-			// holds even when dst is a registered host: delivering hop-free
-			// would bypass every tap and the topology's own verdict.
-			n.stats.NoRoute++
-			n.m.noRoute.Inc()
-			return nil
-		}
-	}
-	n.forward(n.newFlight(raw, src, path))
+	buf := n.bufs.get(len(raw))
+	copy(buf, raw)
+	n.send(buf, probe.Src, probe.Dst)
 	return nil
 }
 
@@ -459,13 +448,47 @@ func (n *Network) Inject(raw []byte) {
 	}
 }
 
-// InjectOwned is Inject without the defensive copy: ownership of raw
-// transfers to the network. Use it when the buffer was freshly built for
-// this exact send.
-func (n *Network) InjectOwned(raw []byte) {
-	if err := n.SendPacketOwned(raw); err != nil {
-		panic(err)
+// InjectUDP builds an IPv4/UDP packet (wire.BuildUDP) straight into a
+// pooled buffer and sends it. A payload too large for one datagram sends
+// nothing, as an oversized send on a real host fails without a packet.
+func (n *Network) InjectUDP(src, dst wire.Endpoint, ttl uint8, id uint16, payload []byte) {
+	buf := n.bufs.get(wire.UDPPacketLen(len(payload)))
+	if _, err := wire.BuildUDPInto(buf, src, dst, ttl, id, payload); err != nil {
+		n.bufs.put(buf)
+		return
 	}
+	n.send(buf, src.Addr, dst.Addr)
+}
+
+// InjectTCP is InjectUDP for a TCP segment (wire.BuildTCP).
+func (n *Network) InjectTCP(src, dst wire.Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) {
+	buf := n.bufs.get(wire.TCPPacketLen(len(payload)))
+	if _, err := wire.BuildTCPInto(buf, src, dst, ttl, id, flags, seq, ack, payload); err != nil {
+		n.bufs.put(buf)
+		return
+	}
+	n.send(buf, src.Addr, dst.Addr)
+}
+
+// send starts a pooled packet from src to dst on its path; the packet
+// owns buf from here on.
+func (n *Network) send(buf []byte, src, dst wire.Addr) {
+	n.stats.PacketsSent++
+	n.m.packetsSent.Inc()
+	var path []*Router
+	if n.pathFn != nil {
+		path = n.pathFn(src, dst)
+		if path == nil && src != dst {
+			// No route at all (distinct from the empty direct path). This
+			// holds even when dst is a registered host: delivering hop-free
+			// would bypass every tap and the topology's own verdict.
+			n.stats.NoRoute++
+			n.m.noRoute.Inc()
+			n.bufs.put(buf)
+			return
+		}
+	}
+	n.forward(n.newFlight(buf, src, path))
 }
 
 // flight is one packet in transit: the serialized bytes, the origin
@@ -555,15 +578,17 @@ func (n *Network) tapCounter(r *Router) *telemetry.Counter {
 // hop index hop of its path.
 func (n *Network) sendTimeExceeded(r *Router, origin wire.Addr, expired []byte, hop int) {
 	// Build the message directly into its packet buffer: the quote aliases
-	// the expired packet only until BuildICMP copies it, so the intermediate
-	// copy wire.NewTimeExceeded would make is unnecessary here.
+	// the expired packet, which the caller releases only after BuildICMPInto
+	// has copied it, so the intermediate copy wire.NewTimeExceeded would
+	// make is unnecessary here.
 	quote := expired
 	if len(quote) > wire.TimeExceededQuoteLen {
 		quote = quote[:wire.TimeExceededQuoteLen]
 	}
 	te := wire.ICMP{Type: wire.ICMPTimeExceeded}
-	raw, err := wire.BuildICMP(r.Addr, origin, 64, 0, &te, quote)
-	if err != nil {
+	raw := n.bufs.get(wire.ICMPPacketLen(len(quote)))
+	if _, err := wire.BuildICMPInto(raw, r.Addr, origin, 64, 0, &te, quote); err != nil {
+		n.bufs.put(raw)
 		return
 	}
 	n.stats.ICMPSent++
@@ -580,6 +605,8 @@ func (n *Network) sendTimeExceeded(r *Router, origin wire.Addr, expired []byte, 
 	n.scheduleEvent(time.Duration(hop+1)*n.hopLatency, e)
 }
 
+// deliver hands a packet that reached its destination to the host's
+// handler. The caller releases the buffer once it returns.
 func (n *Network) deliver(pkt []byte) {
 	if err := n.parser.Decode(pkt, &n.scratch); err != nil {
 		return

@@ -133,15 +133,6 @@ func (it *InterceptorTap) Observe(n *netsim.Network, at *netsim.Router, pkt *wir
 	}
 	// Spoof: source is the original destination, as if the resolver (or
 	// pair address) had answered.
-	udp := wire.UDP{SrcPort: pkt.UDP.DstPort, DstPort: pkt.UDP.SrcPort}
-	seg, err := udp.Serialize(pkt.IP.Dst, pkt.IP.Src, raw)
-	if err != nil {
-		return
-	}
-	ip := wire.IPv4{TTL: 64, Protocol: wire.ProtoUDP, Src: pkt.IP.Dst, Dst: pkt.IP.Src}
-	spoofed, err := ip.Serialize(seg)
-	if err != nil {
-		return
-	}
-	n.InjectOwned(spoofed)
+	flow := pkt.Flow()
+	n.InjectUDP(flow.Dst, flow.Src, 64, 0, raw)
 }

@@ -293,18 +293,12 @@ func (s *Service) answer(n *netsim.Network, p *recursion, rcode uint8, answers [
 // datagram from port 53, or for DoH wrapped in its HTTP envelope as a TCP
 // data packet from port 443.
 func (s *Service) send(n *netsim.Network, client wire.Endpoint, raw []byte, doh bool) {
-	var pkt []byte
-	var err error
 	if doh {
-		pkt, err = wire.BuildTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
+		n.InjectTCP(wire.Endpoint{Addr: s.Addr, Port: 443}, client, 64, 0,
 			wire.TCPPsh|wire.TCPAck|wire.TCPFin, 1, 1, dohResponse(raw))
-	} else {
-		pkt, err = wire.BuildUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
-	}
-	if err != nil {
 		return
 	}
-	n.InjectOwned(pkt)
+	n.InjectUDP(wire.Endpoint{Addr: s.Addr, Port: 53}, client, 64, 0, raw)
 }
 
 // respond encodes a reply to the decoded query q, echoing every question,

@@ -3,6 +3,7 @@ package tlswire
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 )
@@ -26,6 +27,8 @@ func entropyName(rng *rand.Rand, n int) string {
 // realnet honeypot does from its sockets. It must never panic, every field
 // it returns must be bounded by the input, and a hello it accepts must
 // re-encode and re-parse to the same ServerName and ECH state.
+// ParseClientHelloInto, into scratch that still holds an earlier hello,
+// must give the same verdict and, on success, the same hello.
 //
 //	go test -run '^$' -fuzz FuzzParseClientHello -fuzztime 10s ./internal/tlswire
 func FuzzParseClientHello(f *testing.F) {
@@ -55,8 +58,21 @@ func FuzzParseClientHello(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		ch, err := ParseClientHello(data)
+		scratch := ClientHello{
+			Version: 0xFFFF, Random: [32]byte{1}, SessionID: []byte{1, 2, 3},
+			CipherSuites: []uint16{4, 5}, ServerName: "stale.example", ECHPayload: []byte{6},
+		}
+		intoErr := ParseClientHelloInto(&scratch, data)
+		if intoErr != err {
+			t.Fatalf("ParseClientHelloInto error %v, ParseClientHello error %v", intoErr, err)
+		}
 		if err != nil {
 			return
+		}
+		if scratch.Version != ch.Version || scratch.Random != ch.Random || !bytes.Equal(scratch.SessionID, ch.SessionID) ||
+			!slices.Equal(scratch.CipherSuites, ch.CipherSuites) || scratch.ServerName != ch.ServerName ||
+			!bytes.Equal(scratch.ECHPayload, ch.ECHPayload) {
+			t.Fatalf("ParseClientHelloInto gave %+v, ParseClientHello %+v", scratch, *ch)
 		}
 		if len(ch.SessionID) > len(data) || 2*len(ch.CipherSuites) > len(data) ||
 			len(ch.ServerName) > len(data) || len(ch.ECHPayload) > len(data) {

@@ -155,98 +155,112 @@ func (ch *ClientHello) encode(echName string, seal bool) ([]byte, error) {
 // ParseClientHello parses a record-wrapped ClientHello. This is the routine
 // on-path observers run to extract SNI from sniffed bytes.
 func ParseClientHello(data []byte) (*ClientHello, error) {
+	var ch ClientHello
+	if err := ParseClientHelloInto(&ch, data); err != nil {
+		return nil, err
+	}
+	return &ch, nil
+}
+
+// ParseClientHelloInto is ParseClientHello decoding into ch, which it
+// overwrites in full: the session ID, cipher-suite and ECH slices reuse
+// ch's backing arrays, so a server that parses every arriving hello into
+// one scratch value allocates only the server name once warm. On error ch
+// holds partial state.
+func ParseClientHelloInto(ch *ClientHello, data []byte) error {
+	ch.SessionID, ch.CipherSuites = ch.SessionID[:0], ch.CipherSuites[:0]
+	ch.ServerName, ch.ECHPayload = "", ch.ECHPayload[:0]
 	if len(data) < 5 {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if data[0] != RecordHandshake {
-		return nil, ErrNotHandshake
+		return ErrNotHandshake
 	}
 	recLen := int(binary.BigEndian.Uint16(data[3:5]))
 	if len(data) < 5+recLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	hs := data[5 : 5+recLen]
 	if len(hs) < 4 || hs[0] != HandshakeClient {
-		return nil, ErrNotHandshake
+		return ErrNotHandshake
 	}
 	bodyLen := u24(hs[1:4])
 	if len(hs) < 4+bodyLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	body := hs[4 : 4+bodyLen]
 
-	var ch ClientHello
 	r := reader{buf: body}
 	var ok bool
 	if ch.Version, ok = r.u16(); !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	rnd, ok := r.bytes(32)
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	copy(ch.Random[:], rnd)
 	sidLen, ok := r.u8()
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	sid, ok := r.bytes(int(sidLen))
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	ch.SessionID = append([]byte(nil), sid...)
+	ch.SessionID = append(ch.SessionID, sid...)
 	csLen, ok := r.u16()
 	if !ok || csLen%2 != 0 {
-		return nil, ErrMalformed
+		return ErrMalformed
 	}
 	cs, ok := r.bytes(int(csLen))
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	for i := 0; i+1 < len(cs); i += 2 {
 		ch.CipherSuites = append(ch.CipherSuites, binary.BigEndian.Uint16(cs[i:i+2]))
 	}
 	compLen, ok := r.u8()
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if _, ok = r.bytes(int(compLen)); !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	if r.len() == 0 {
-		return &ch, nil // no extensions
+		return nil // no extensions
 	}
 	extLen, ok := r.u16()
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	exts, ok := r.bytes(int(extLen))
 	if !ok {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
 	er := reader{buf: exts}
 	for er.len() > 0 {
 		typ, ok1 := er.u16()
 		l, ok2 := er.u16()
 		if !ok1 || !ok2 {
-			return nil, ErrMalformed
+			return ErrMalformed
 		}
 		val, ok := er.bytes(int(l))
 		if !ok {
-			return nil, ErrTruncated
+			return ErrTruncated
 		}
 		switch typ {
 		case extServerName:
 			name, err := parseSNI(val)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			ch.ServerName = name
 		case extECH:
-			ch.ECHPayload = append([]byte(nil), val...)
+			ch.ECHPayload = append(ch.ECHPayload[:0], val...)
 		}
 	}
-	return &ch, nil
+	return nil
 }
 
 func parseSNI(val []byte) (string, error) {

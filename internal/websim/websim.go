@@ -116,15 +116,21 @@ func Build(n *netsim.Network, topo *topology.Topology, cfg Config) *Fleet {
 	return f
 }
 
-// server is what every front-end of a fleet shares: HTTP parse scratch and
-// the static 400 reply.
+// server is what every front-end of a fleet shares: HTTP and TLS parse
+// scratch and the static 400 reply.
 type server struct {
 	// req is parse scratch: handlers run on the world's single event-loop
 	// goroutine and finish with a request before the next arrives. The
 	// Host string handed to OnHost is a fresh copy, so it may be kept.
 	//
 	//shadowlint:eventloop
-	req        httpwire.Request
+	req httpwire.Request
+	// hello is ClientHello parse scratch under the same contract: the
+	// name handed to OnSNI is a fresh string.
+	//
+	//shadowlint:eventloop
+	hello tlswire.ClientHello
+
 	badRequest []byte
 }
 
@@ -151,8 +157,8 @@ func deploySite(n *netsim.Network, srv *server, site *Site) {
 		return ok
 	})
 	host.ServeTCP(443, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
-		ch, err := tlswire.ParseClientHello(payload)
-		if err != nil {
+		ch := &srv.hello
+		if err := tlswire.ParseClientHelloInto(ch, payload); err != nil {
 			return nil
 		}
 		if site.OnSNI != nil {

@@ -54,7 +54,7 @@ func TestSiteServesHTTP(t *testing.T) {
 	var body []byte
 	req := httpwire.NewGET("decoy123.www.experiment.domain", "/").Encode()
 	client.SendTCPRequest(net, wire.Endpoint{Addr: site.Addr, Port: 80}, req, netsim.TCPRequestOpts{
-		OnResponse: func(n *netsim.Network, payload []byte) { body = payload },
+		OnResponse: func(n *netsim.Network, payload []byte) { body = append([]byte(nil), payload...) },
 	})
 	net.RunUntilIdle()
 	resp, err := httpwire.ParseResponse(body)
@@ -83,7 +83,7 @@ func TestSiteServesTLSAndSNIHook(t *testing.T) {
 	payload, _ := ch.Encode()
 	var resp []byte
 	client.SendTCPRequest(net, wire.Endpoint{Addr: site.Addr, Port: 443}, payload, netsim.TCPRequestOpts{
-		OnResponse: func(n *netsim.Network, p []byte) { resp = p },
+		OnResponse: func(n *netsim.Network, p []byte) { resp = append([]byte(nil), p...) },
 	})
 	net.RunUntilIdle()
 	if _, err := tlswire.ParseServerHello(resp); err != nil {

@@ -102,17 +102,39 @@ func (pkt *Packet) TransportPayload() []byte {
 	return nil
 }
 
+// UDPPacketLen is the size of the packet BuildUDP builds around an n-byte
+// payload: the buffer BuildUDPInto needs.
+func UDPPacketLen(n int) int { return IPv4HeaderLen + UDPHeaderLen + n }
+
+// TCPPacketLen is UDPPacketLen for BuildTCP.
+func TCPPacketLen(n int) int { return IPv4HeaderLen + TCPHeaderLen + n }
+
+// ICMPPacketLen is UDPPacketLen for BuildICMP.
+func ICMPPacketLen(n int) int { return IPv4HeaderLen + ICMPHeaderLen + n }
+
 // BuildUDP serializes a complete IPv4/UDP packet in a single allocation:
 // the transport layer serializes in place behind the header slot, so the
 // payload is copied exactly once.
 func BuildUDP(src, dst Endpoint, ttl uint8, id uint16, payload []byte) ([]byte, error) {
+	return BuildUDPInto(make([]byte, UDPPacketLen(len(payload))), src, dst, ttl, id, payload)
+}
+
+// BuildUDPInto is BuildUDP into buf, which must hold at least
+// UDPPacketLen(len(payload)) bytes and must not overlap payload; it
+// returns the packet, buf's prefix. It writes every byte of that prefix,
+// so buf may hold stale data.
+func BuildUDPInto(buf []byte, src, dst Endpoint, ttl uint8, id uint16, payload []byte) ([]byte, error) {
+	n := UDPPacketLen(len(payload))
+	if len(buf) < n {
+		return nil, fmt.Errorf("wire: buffer too small for UDP packet: %d < %d", len(buf), n)
+	}
+	buf = buf[:n]
 	udp := UDP{SrcPort: src.Port, DstPort: dst.Port}
-	buf := make([]byte, IPv4HeaderLen+UDPHeaderLen+len(payload))
 	if _, err := udp.SerializeTo(buf[IPv4HeaderLen:], src.Addr, dst.Addr, payload); err != nil {
 		return nil, err
 	}
 	ip := IPv4{TTL: ttl, Protocol: ProtoUDP, ID: id, Src: src.Addr, Dst: dst.Addr, Flags: FlagDF}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
+	if err := ip.SerializeHeader(buf, n-IPv4HeaderLen); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -120,13 +142,22 @@ func BuildUDP(src, dst Endpoint, ttl uint8, id uint16, payload []byte) ([]byte, 
 
 // BuildTCP serializes a complete IPv4/TCP packet in a single allocation.
 func BuildTCP(src, dst Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
+	return BuildTCPInto(make([]byte, TCPPacketLen(len(payload))), src, dst, ttl, id, flags, seq, ack, payload)
+}
+
+// BuildTCPInto is BuildTCP into buf, under BuildUDPInto's rules.
+func BuildTCPInto(buf []byte, src, dst Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uint32, payload []byte) ([]byte, error) {
+	n := TCPPacketLen(len(payload))
+	if len(buf) < n {
+		return nil, fmt.Errorf("wire: buffer too small for TCP packet: %d < %d", len(buf), n)
+	}
+	buf = buf[:n]
 	tcp := TCP{SrcPort: src.Port, DstPort: dst.Port, Seq: seq, Ack: ack, Flags: flags, Window: 65535}
-	buf := make([]byte, IPv4HeaderLen+TCPHeaderLen+len(payload))
 	if _, err := tcp.SerializeTo(buf[IPv4HeaderLen:], src.Addr, dst.Addr, payload); err != nil {
 		return nil, err
 	}
 	ip := IPv4{TTL: ttl, Protocol: ProtoTCP, ID: id, Src: src.Addr, Dst: dst.Addr, Flags: FlagDF}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
+	if err := ip.SerializeHeader(buf, n-IPv4HeaderLen); err != nil {
 		return nil, err
 	}
 	return buf, nil
@@ -134,12 +165,21 @@ func BuildTCP(src, dst Endpoint, ttl uint8, id uint16, flags uint8, seq, ack uin
 
 // BuildICMP serializes a complete IPv4/ICMP packet in a single allocation.
 func BuildICMP(src, dst Addr, ttl uint8, id uint16, msg *ICMP, msgPayload []byte) ([]byte, error) {
-	buf := make([]byte, IPv4HeaderLen+ICMPHeaderLen+len(msgPayload))
+	return BuildICMPInto(make([]byte, ICMPPacketLen(len(msgPayload))), src, dst, ttl, id, msg, msgPayload)
+}
+
+// BuildICMPInto is BuildICMP into buf, under BuildUDPInto's rules.
+func BuildICMPInto(buf []byte, src, dst Addr, ttl uint8, id uint16, msg *ICMP, msgPayload []byte) ([]byte, error) {
+	n := ICMPPacketLen(len(msgPayload))
+	if len(buf) < n {
+		return nil, fmt.Errorf("wire: buffer too small for ICMP packet: %d < %d", len(buf), n)
+	}
+	buf = buf[:n]
 	if _, err := msg.SerializeTo(buf[IPv4HeaderLen:], msgPayload); err != nil {
 		return nil, err
 	}
 	ip := IPv4{TTL: ttl, Protocol: ProtoICMP, ID: id, Src: src, Dst: dst}
-	if err := ip.SerializeHeader(buf, len(buf)-IPv4HeaderLen); err != nil {
+	if err := ip.SerializeHeader(buf, n-IPv4HeaderLen); err != nil {
 		return nil, err
 	}
 	return buf, nil

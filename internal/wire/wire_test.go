@@ -340,3 +340,35 @@ func BenchmarkDecrementTTL(b *testing.B) {
 		}
 	}
 }
+
+// TestBuildIntoOverwritesStaleBuffer checks that the Into builders write
+// every byte of the packet they return: built into a larger buffer full
+// of stale bytes, each packet equals its freshly allocated twin and
+// decodes with valid checksums.
+func TestBuildIntoOverwritesStaleBuffer(t *testing.T) {
+	src, dst := Endpoint{AddrFrom(1, 1, 1, 1), 5353}, Endpoint{AddrFrom(8, 8, 8, 8), 53}
+	payload := []byte("stale-buffer payload")
+	stale := func() []byte { return bytes.Repeat([]byte{0xA5}, 256) }
+	udp, _ := BuildUDP(src, dst, 64, 7, payload)
+	tcp, _ := BuildTCP(src, dst, 64, 8, TCPPsh|TCPAck, 1, 2, payload)
+	icmp, _ := BuildICMP(dst.Addr, src.Addr, 64, 0, &ICMP{Type: ICMPTimeExceeded}, udp[:TimeExceededQuoteLen])
+	udpInto, err1 := BuildUDPInto(stale(), src, dst, 64, 7, payload)
+	tcpInto, err2 := BuildTCPInto(stale(), src, dst, 64, 8, TCPPsh|TCPAck, 1, 2, payload)
+	icmpInto, err3 := BuildICMPInto(stale(), dst.Addr, src.Addr, 64, 0, &ICMP{Type: ICMPTimeExceeded}, udp[:TimeExceededQuoteLen])
+	for _, c := range []struct {
+		name      string
+		got, want []byte
+		err       error
+	}{{"UDP", udpInto, udp, err1}, {"TCP", tcpInto, tcp, err2}, {"ICMP", icmpInto, icmp, err3}} {
+		if c.err != nil || !bytes.Equal(c.got, c.want) {
+			t.Errorf("Build%sInto = %x, %v; want %x", c.name, c.got, c.err, c.want)
+			continue
+		}
+		if _, err := Decode(c.got); err != nil {
+			t.Errorf("Build%sInto packet does not decode: %v", c.name, err)
+		}
+	}
+	if _, err := BuildUDPInto(make([]byte, UDPPacketLen(len(payload))-1), src, dst, 64, 7, payload); err == nil {
+		t.Error("BuildUDPInto accepted a buffer one byte short")
+	}
+}

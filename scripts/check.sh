@@ -149,6 +149,32 @@ if ! cmp -s "$tmpdir/batch1.json" "$tmpdir/batch2.json"; then
     exit 1
 fi
 
+echo "== packet-buffer poison smoke"
+# A delivered packet's buffer returns to the network's pool once its
+# handler returns, so taps, handlers and callbacks may read payload bytes
+# only during their call. Built with -tags netsimpoison, the pool fills
+# every released buffer with 0xA5: code that kept payload bytes past its
+# call would read that instead of the packet, and its output would differ
+# from the untagged build's.
+go build -tags netsimpoison -o "$tmpdir/shadowmeter_poison" ./cmd/shadowmeter
+for args in "-seed 42 -metrics-json" "-seed 42" "-mitigations"; do
+    # $args is unquoted on purpose: it splits into the run's flags.
+    "$tmpdir/shadowmeter" $args >"$tmpdir/plain.out" 2>/dev/null
+    "$tmpdir/shadowmeter_poison" $args >"$tmpdir/poison.out" 2>/dev/null
+    if ! cmp -s "$tmpdir/plain.out" "$tmpdir/poison.out"; then
+        echo "shadowmeter $args: output differs with released packet buffers poisoned:" >&2
+        diff "$tmpdir/plain.out" "$tmpdir/poison.out" | head -20 >&2 || true
+        exit 1
+    fi
+done
+"$tmpdir/shadowmeter_poison" -seed 7 -trials 2 -workers 2 >"$tmpdir/batch_poison.json" 2>/dev/null
+if ! cmp -s "$tmpdir/batch2.json" "$tmpdir/batch_poison.json"; then
+    echo "batch output differs with released packet buffers poisoned:" >&2
+    diff "$tmpdir/batch2.json" "$tmpdir/batch_poison.json" | head -20 >&2 || true
+    exit 1
+fi
+go test -tags netsimpoison ./internal/...
+
 echo "== runstore checkpoint/resume smoke"
 # The resume-determinism contract: a batch persisted with -out, torn at
 # the tail (simulating a crash mid-append), then resumed must produce
@@ -357,17 +383,20 @@ echo "== benchmark smoke (netsim, wire)"
 # the registry-backed events/sec reporting without measuring anything.
 go test -run '^$' -bench . -benchtime=1x ./internal/netsim ./internal/wire
 
-echo "== netsim allocation gate"
-# The forward path is pooled (events + flights, one scratch decode): it
-# must stay at single-digit allocs per delivered packet or multi-trial
-# throughput regresses. Baseline after the zero-alloc pass: 1 alloc/op.
-allocs=$(go test -run '^$' -bench BenchmarkPacketForwarding -benchmem ./internal/netsim |
-    awk '/BenchmarkPacketForwarding/ {print $(NF-1)}')
-echo "BenchmarkPacketForwarding: $allocs allocs/op"
-if [ -z "$allocs" ] || [ "$allocs" -gt 1 ]; then
-    echo "forward-path allocations regressed: $allocs allocs/op (gate: 1)" >&2
-    exit 1
-fi
+echo "== netsim allocation gates"
+# The forward path is pooled (events, flights and packet buffers, one
+# scratch decode): once warm, injecting, forwarding and delivering a
+# packet allocates nothing, and neither does a whole UDP request/reply
+# exchange between two hosts.
+bench_out=$(go test -run '^$' -bench 'BenchmarkPacketForwarding|BenchmarkEndToEndUDP' -benchmem ./internal/netsim)
+for bench in BenchmarkPacketForwarding BenchmarkEndToEndUDP; do
+    allocs=$(echo "$bench_out" | awk -v p="$bench-" 'index($1, p) == 1 {print $(NF-1)}')
+    echo "$bench: $allocs allocs/op"
+    if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+        echo "$bench allocations regressed: $allocs allocs/op (gate: 0)" >&2
+        exit 1
+    fi
+done
 
 echo "== netsim event-queue allocation gate"
 # At Phase II depth (65,536 pending events) the queue's steady state
@@ -475,15 +504,15 @@ echo "== trials allocation + multi-core speedup gates"
 # (zero-copy delivery, chunked capture log, scratch DNS encodes), then
 # the question-name reuse in DNS decode, then filter-before-parse observer
 # taps, then one allocation per message (exactly sized decoy encoders,
-# scratch-decoding resolvers and HTTP servers, pooled TCP request flows):
-# an 8-trial batch sits at about 1.48M allocs, down from ~9.8M before the
-# sweeps. The ceiling leaves about 6% headroom for noise while catching any
-# real regression.
+# scratch-decoding resolvers and HTTP servers, pooled TCP request flows),
+# then pooled packet buffers: an 8-trial batch sits at about 1.00M allocs,
+# down from ~9.8M before the sweeps. The ceiling leaves about 6% headroom
+# for noise while catching any real regression.
 bench_out=$(go test -run '^$' -bench 'BenchmarkTrials/workers=(1|4)$' -benchmem -benchtime 1x ./internal/runner)
 allocs=$(echo "$bench_out" | awk '/workers=1/ {print $(NF-1)}')
 echo "BenchmarkTrials/workers=1: $allocs allocs/op"
-if [ -z "$allocs" ] || [ "$allocs" -gt 1570000 ]; then
-    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 1570000)" >&2
+if [ -z "$allocs" ] || [ "$allocs" -gt 1060000 ]; then
+    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 1060000)" >&2
     exit 1
 fi
 

@@ -489,10 +489,17 @@ type question struct {
 }
 
 // nameAt decodes the name at off like decodeName, but returns q's string
-// for exactly the pointer C0 0C instead of assembling a fresh copy.
-func (q question) nameAt(data []byte, off int) (string, int, error) {
+// for exactly the pointer C0 0C instead of assembling a fresh copy. With
+// keep false it only checks the name, as decoding it would, and returns
+// "": nothing is allocated.
+func (q question) nameAt(data []byte, off int, keep bool) (string, int, error) {
 	if q.ok && off+1 < len(data) && data[off] == 0xC0 && data[off+1] == 12 {
 		return q.name, off + 2, nil
+	}
+	if !keep {
+		var buf [254]byte
+		_, end, _, _, err := scanName(data, off, &buf)
+		return "", end, err
 	}
 	name, end, _, err := decodeName(data, off)
 	return name, end, err
@@ -508,50 +515,104 @@ func decodeRRs(dst []RR, data []byte, off, count int, q question) ([]RR, int, er
 		rrs = make([]RR, 0, count)
 	}
 	for i := 0; i < count; i++ {
-		name, n, err := q.nameAt(data, off)
-		if err != nil {
+		var r RR
+		var err error
+		if off, err = readRR(&r, data, off, q, true); err != nil {
 			return nil, 0, err
 		}
-		off = n
-		if off+10 > len(data) {
-			return nil, 0, ErrTruncated
-		}
-		var r RR
-		r.Name = name
-		r.Type = binary.BigEndian.Uint16(data[off : off+2])
-		r.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
-		r.TTL = binary.BigEndian.Uint32(data[off+4 : off+8])
-		rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
-		off += 10
-		if off+rdlen > len(data) {
-			return nil, 0, ErrTruncated
-		}
-		rdata := data[off : off+rdlen]
-		switch r.Type {
-		case TypeA:
-			if rdlen != 4 {
-				return nil, 0, fmt.Errorf("dnswire: A record rdlength %d", rdlen)
-			}
-			copy(r.Addr[:], rdata)
-		case TypeCNAME, TypeNS, TypeSOA:
-			t, _, err := q.nameAt(data, off)
-			if err != nil {
-				return nil, 0, err
-			}
-			r.Target = t
-		case TypeTXT:
-			if rdlen > 0 {
-				sl := int(rdata[0])
-				if sl+1 > rdlen {
-					return nil, 0, ErrTruncated
-				}
-				r.Text = string(rdata[1 : 1+sl])
-			}
-		}
-		off += rdlen
 		rrs = append(rrs, r)
 	}
 	return rrs, off, nil
+}
+
+// readRR decodes the record at off into r and returns the offset after
+// it. With keep false it checks the record's names and text exactly as
+// decoding them would but leaves Name, Target and Text empty, so it
+// allocates nothing; q's name is then unused.
+func readRR(r *RR, data []byte, off int, q question, keep bool) (int, error) {
+	name, off, err := q.nameAt(data, off, keep)
+	if err != nil {
+		return 0, err
+	}
+	if off+10 > len(data) {
+		return 0, ErrTruncated
+	}
+	r.Name = name
+	r.Type = binary.BigEndian.Uint16(data[off : off+2])
+	r.Class = binary.BigEndian.Uint16(data[off+2 : off+4])
+	r.TTL = binary.BigEndian.Uint32(data[off+4 : off+8])
+	rdlen := int(binary.BigEndian.Uint16(data[off+8 : off+10]))
+	off += 10
+	if off+rdlen > len(data) {
+		return 0, ErrTruncated
+	}
+	rdata := data[off : off+rdlen]
+	switch r.Type {
+	case TypeA:
+		if rdlen != 4 {
+			return 0, fmt.Errorf("dnswire: A record rdlength %d", rdlen)
+		}
+		copy(r.Addr[:], rdata)
+	case TypeCNAME, TypeNS, TypeSOA:
+		t, _, err := q.nameAt(data, off, keep)
+		if err != nil {
+			return 0, err
+		}
+		r.Target = t
+	case TypeTXT:
+		if rdlen > 0 {
+			sl := int(rdata[0])
+			if sl+1 > rdlen {
+				return 0, ErrTruncated
+			}
+			if keep {
+				r.Text = string(rdata[1 : 1+sl])
+			}
+		}
+	}
+	return off + rdlen, nil
+}
+
+// FirstA returns the address of the first A record in the answer section
+// of the wire-format message data, for a caller that needs nothing else
+// of a reply. It accepts exactly the messages DecodeInto accepts, and ok
+// is false for any other or for one with no A answer, but it checks every
+// name and record in place and builds no strings, so it allocates nothing.
+func FirstA(data []byte) (addr wire.Addr, ok bool) {
+	if len(data) < 12 {
+		return wire.Addr{}, false
+	}
+	qd := int(binary.BigEndian.Uint16(data[4:6]))
+	an := int(binary.BigEndian.Uint16(data[6:8]))
+	rrs := an + int(binary.BigEndian.Uint16(data[8:10])) + int(binary.BigEndian.Uint16(data[10:12]))
+	off := 12
+	var q question
+	for i := 0; i < qd; i++ {
+		var buf [254]byte
+		_, end, jumps, _, err := scanName(data, off, &buf)
+		if err != nil {
+			return wire.Addr{}, false
+		}
+		if i == 0 {
+			q.ok = jumps <= maxJumps
+		}
+		off = end
+		if off+4 > len(data) {
+			return wire.Addr{}, false
+		}
+		off += 4
+	}
+	for i := 0; i < rrs; i++ {
+		var r RR
+		var err error
+		if off, err = readRR(&r, data, off, q, false); err != nil {
+			return wire.Addr{}, false
+		}
+		if i < an && !ok && r.Type == TypeA {
+			addr, ok = r.Addr, true
+		}
+	}
+	return addr, ok
 }
 
 // maxJumps bounds compression-pointer chains: decodeName refuses a pointer
@@ -565,16 +626,29 @@ const maxJumps = 32
 // lowercased as it is copied — so the only allocation is the returned
 // string.
 func decodeName(data []byte, off int) (string, int, int, error) {
+	var buf [254]byte
+	n, end, jumps, nonASCII, err := scanName(data, off, &buf)
+	if err != nil {
+		return "", 0, 0, err
+	}
+	if nonASCII {
+		// Match strings.ToLower on the original bytes exactly (multi-byte
+		// case folding) for the rare non-ASCII name.
+		return strings.ToLower(string(buf[:n])), end, jumps, nil
+	}
+	return string(buf[:n]), end, jumps, nil
+}
+
+// scanName is decodeName's walk: it checks the name at off and assembles
+// its lowercased presentation form in buf[:n], reporting whether it holds
+// non-ASCII bytes. A caller that only needs the name checked discards buf.
+func scanName(data []byte, off int, buf *[254]byte) (n, end, jumps int, nonASCII bool, err error) {
 	// 253 presentation octets is the longest legal name; anything that
 	// overruns the buffer is ErrNameTooLong whenever it terminates.
-	var buf [254]byte
-	n := 0
-	nonASCII := false
-	end := -1 // offset after the name in the original stream
-	jumps := 0
+	end = -1 // offset after the name in the original stream
 	for {
 		if off >= len(data) {
-			return "", 0, 0, ErrTruncated
+			return 0, 0, 0, false, ErrTruncated
 		}
 		b := data[off]
 		switch {
@@ -583,43 +657,38 @@ func decodeName(data []byte, off int) (string, int, int, error) {
 				end = off + 1
 			}
 			if n > 253 {
-				return "", 0, 0, ErrNameTooLong
+				return 0, 0, 0, false, ErrNameTooLong
 			}
-			if nonASCII {
-				// Match strings.ToLower on the original bytes exactly
-				// (multi-byte case folding) for the rare non-ASCII name.
-				return strings.ToLower(string(buf[:n])), end, jumps, nil
-			}
-			return string(buf[:n]), end, jumps, nil
+			return n, end, jumps, nonASCII, nil
 		case b&0xC0 == 0xC0:
 			if off+1 >= len(data) {
-				return "", 0, 0, ErrTruncated
+				return 0, 0, 0, false, ErrTruncated
 			}
 			ptr := int(binary.BigEndian.Uint16(data[off:off+2]) & 0x3FFF)
 			if end < 0 {
 				end = off + 2
 			}
 			if ptr >= off || jumps > maxJumps {
-				return "", 0, 0, ErrBadPointer
+				return 0, 0, 0, false, ErrBadPointer
 			}
 			off = ptr
 			jumps++
 		case b&0xC0 != 0:
-			return "", 0, 0, ErrBadName
+			return 0, 0, 0, false, ErrBadName
 		default:
 			l := int(b)
 			if off+1+l > len(data) {
-				return "", 0, 0, ErrTruncated
+				return 0, 0, 0, false, ErrTruncated
 			}
 			if n > 0 {
 				if n >= len(buf) {
-					return "", 0, 0, ErrNameTooLong
+					return 0, 0, 0, false, ErrNameTooLong
 				}
 				buf[n] = '.'
 				n++
 			}
 			if n+l > len(buf) {
-				return "", 0, 0, ErrNameTooLong
+				return 0, 0, 0, false, ErrNameTooLong
 			}
 			for i := 0; i < l; i++ {
 				c := data[off+1+i]
@@ -630,7 +699,7 @@ func decodeName(data []byte, off int) (string, int, int, error) {
 				} else if c == '.' {
 					// The presentation form has no escapes, so a dot inside
 					// a label would re-encode as a label boundary.
-					return "", 0, 0, ErrBadName
+					return 0, 0, 0, false, ErrBadName
 				}
 				buf[n] = c
 				n++

@@ -319,3 +319,38 @@ func BenchmarkDecodeResponse(b *testing.B) {
 		}
 	}
 }
+
+// TestFirstA reads the first A answer past a CNAME, ignores A records
+// outside the answer section, and allocates nothing.
+func TestFirstA(t *testing.T) {
+	q := NewQuery(9, "www.experiment.domain", TypeA)
+	resp := NewResponse(q, RcodeNoError)
+	resp.Answers = append(resp.Answers,
+		RR{Name: "www.experiment.domain", Type: TypeCNAME, TTL: 60, Target: "web.experiment.domain"},
+		RR{Name: "web.experiment.domain", Type: TypeA, TTL: 60, Addr: wire.AddrFrom(203, 0, 113, 10)},
+		RR{Name: "web.experiment.domain", Type: TypeA, TTL: 60, Addr: wire.AddrFrom(203, 0, 113, 11)})
+	data, err := resp.Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var addr wire.Addr
+	var ok bool
+	if allocs := testing.AllocsPerRun(100, func() { addr, ok = FirstA(data) }); allocs != 0 {
+		t.Errorf("FirstA allocates %v times, want 0", allocs)
+	}
+	if !ok || addr != wire.AddrFrom(203, 0, 113, 10) {
+		t.Errorf("FirstA = %v, %v; want 203.0.113.10", addr, ok)
+	}
+
+	glue := NewResponse(q, RcodeNoError)
+	glue.Additional = append(glue.Additional, RR{Name: "ns1.experiment.domain", Type: TypeA, TTL: 60, Addr: wire.AddrFrom(192, 0, 2, 1)})
+	if data, err = glue.Encode(); err != nil {
+		t.Fatal(err)
+	}
+	if addr, ok = FirstA(data); ok {
+		t.Errorf("FirstA on a reply with only an additional A record = %v, want none", addr)
+	}
+	if _, ok = FirstA(data[:len(data)-1]); ok {
+		t.Error("FirstA accepted a truncated reply")
+	}
+}

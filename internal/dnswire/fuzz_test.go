@@ -5,6 +5,8 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+
+	"shadowmeter/internal/wire"
 )
 
 // FuzzDecode feeds arbitrary bytes to the full decoder, as the realnet
@@ -16,7 +18,9 @@ import (
 // it does not serialize, SOA records (whose generated hostmaster name can
 // overflow), and non-ASCII names that case folding lengthened. Decode must
 // also agree, error for error and field for field, with decodePlain, which
-// never reuses the question name for a C0 0C pointer.
+// never reuses the question name for a C0 0C pointer. FirstA must succeed
+// exactly when DecodeInto succeeds and finds an A answer, with the same
+// address.
 //
 //	go test -run '^$' -fuzz FuzzDecode -fuzztime 10s ./internal/dnswire
 func FuzzDecode(f *testing.F) {
@@ -62,6 +66,7 @@ func FuzzDecode(f *testing.F) {
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
+		checkFirstA(t, data)
 		m := checkAgainstPlain(t, data)
 		if m == nil {
 			return
@@ -86,6 +91,25 @@ func FuzzDecode(f *testing.F) {
 			t.Fatalf("re-encoding is not stable: %x, %v; first encoding %x", again, err, enc)
 		}
 	})
+}
+
+// checkFirstA holds FirstA to DecodeInto's first A answer on data.
+func checkFirstA(t *testing.T, data []byte) {
+	t.Helper()
+	var m Message
+	var want wire.Addr
+	wantOK := false
+	if DecodeInto(&m, data) == nil {
+		for _, a := range m.Answers {
+			if a.Type == TypeA {
+				want, wantOK = a.Addr, true
+				break
+			}
+		}
+	}
+	if got, ok := FirstA(data); ok != wantOK || got != want {
+		t.Fatalf("FirstA(%x) = %v, %v; DecodeInto's first A answer is %v, %v", data, got, ok, want, wantOK)
+	}
 }
 
 // expressible reports whether Encode must accept m: every record is of a

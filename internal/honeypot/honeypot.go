@@ -175,6 +175,12 @@ type Deployment struct {
 	//
 	//shadowlint:eventloop
 	hello tlswire.ClientHello
+	// serverHello is the TLS reply's encode scratch under the same
+	// contract: the network copies a handler's reply into its packet
+	// before the next capture arrives.
+	//
+	//shadowlint:eventloop
+	serverHello []byte
 
 	// notFound, homepageResp and badRequest are the static HTTP replies,
 	// encoded once at deploy time; the host copies a reply into its packet,
@@ -345,7 +351,8 @@ func (d *Deployment) handleTLS(n *netsim.Network, s *Site, from wire.Endpoint, p
 	d.m.capturesTLS.Inc()
 	sh := tlswire.ServerHello{Version: tlswire.VersionTLS12, CipherSuite: 0x1301}
 	copy(sh.Random[:], name) // deterministic, content-derived
-	return sh.Encode()
+	d.serverHello = sh.AppendEncode(d.serverHello[:0])
+	return d.serverHello
 }
 
 // firstIdentifierLabel extracts the left-most label if it is shaped like an

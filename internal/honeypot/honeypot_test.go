@@ -64,7 +64,7 @@ func TestDNSWildcardAnswer(t *testing.T) {
 	payload, _ := q.Encode()
 	var resp *dnswire.Message
 	client.SendUDPRequest(n, wire.Endpoint{Addr: d.Sites[0].AuthAddr, Port: 53}, payload, netsim.UDPRequestOpts{
-		OnReply: func(n *netsim.Network, raw []byte) { resp, _ = dnswire.Decode(raw) },
+		Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, raw []byte) { resp, _ = dnswire.Decode(raw) }},
 	})
 	n.RunUntilIdle()
 	if resp == nil {
@@ -105,11 +105,11 @@ func TestDNSOutOfZoneRefused(t *testing.T) {
 	payload, _ := q.Encode()
 	var rcode uint8 = 255
 	client.SendUDPRequest(n, wire.Endpoint{Addr: d.Sites[0].AuthAddr, Port: 53}, payload, netsim.UDPRequestOpts{
-		OnReply: func(n *netsim.Network, raw []byte) {
+		Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, raw []byte) {
 			if m, err := dnswire.Decode(raw); err == nil {
 				rcode = m.Header.Rcode
 			}
-		},
+		}},
 	})
 	n.RunUntilIdle()
 	if rcode != dnswire.RcodeRefused {
@@ -213,11 +213,11 @@ func TestAnswerRotationSpreadsLoad(t *testing.T) {
 		q := dnswire.NewQuery(uint16(i), l+".www.experiment.domain", dnswire.TypeA)
 		payload, _ := q.Encode()
 		client.SendUDPRequest(n, wire.Endpoint{Addr: d.Sites[0].AuthAddr, Port: 53}, payload, netsim.UDPRequestOpts{
-			OnReply: func(n *netsim.Network, raw []byte) {
+			Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, raw []byte) {
 				if m, err := dnswire.Decode(raw); err == nil && len(m.Answers) > 0 {
 					first[m.Answers[0].Addr]++
 				}
-			},
+			}},
 		})
 	}
 	n.RunUntilIdle()

@@ -23,14 +23,13 @@ type Host struct {
 	tcpFlows      map[tcpFlowKey]*clientFlow
 
 	// freeWaiters recycles udpWaiter structs. A waiter returns to the
-	// pool only when its (single, typed) timeout event fires — each
-	// generation schedules exactly one — so the pool can never hold a
-	// waiter that a queued event still refers to under its current
-	// generation.
+	// pool only when its timeout entry fires — each generation schedules
+	// exactly one — so the pool can never hold a waiter that a queued
+	// entry still refers to under its current generation.
 	freeWaiters []*udpWaiter
 	// freeFlows recycles clientFlow structs. Unlike a waiter, a flow
 	// returns to the pool as soon as its request ends (response, reset or
-	// timeout); the timeout event armed for it may still be queued, and its
+	// timeout); the timeout entry armed for it may still be queued, and its
 	// generation check makes it a no-op once the struct is reused.
 	freeFlows []*clientFlow
 
@@ -41,7 +40,7 @@ type Host struct {
 // UDPService handles datagrams arriving on a UDP port. Return a non-nil
 // reply to answer the sender (a nil return means no response).
 //
-// Payload ownership, here and for TCPApp, UDPRequestOpts.OnReply and
+// Payload ownership, here and for TCPApp, Replier.Reply and
 // TCPRequestOpts.OnResponse: the payload slice aliases the delivered
 // packet's own buffer, with no copy, and is valid only for the duration of
 // the call. Once the handler returns, the buffer goes back to the
@@ -123,15 +122,15 @@ func (h *Host) handleUDP(n *Network, pkt *wire.Packet) bool {
 		return true
 	}
 	// Client side: a reply to an outstanding request? The waiter leaves
-	// the map now but returns to the pool only when its timeout event
-	// fires (see udpTimeout); the callbacks are dropped here so the event
-	// queue is not what keeps request closures alive.
+	// the map now but returns to the pool only when its timeout entry
+	// fires (see Fire); the replier is dropped here, so its one call is
+	// this Reply and the queue does not keep the replier alive.
 	if w, ok := h.udpWaiters[udpWaiterKey{dst: from, sport: pkt.UDP.DstPort}]; ok {
 		delete(h.udpWaiters, udpWaiterKey{dst: from, sport: pkt.UDP.DstPort})
-		cb := w.onReply
-		w.onReply, w.onTimeout = nil, nil
-		if cb != nil {
-			cb(n, payloadOf(pkt.UDP.Payload()))
+		r := w.replier
+		w.replier = nil
+		if r != nil {
+			r.Reply(n, payloadOf(pkt.UDP.Payload()))
 		}
 		return true
 	}
@@ -147,13 +146,13 @@ type udpWaiterKey struct {
 }
 
 // udpWaiter is pooled per host. gen increments on every acquisition, so a
-// timeout event carrying (waiter, gen) can tell whether it belongs to the
+// timeout entry carrying (waiter, gen) can tell whether it belongs to the
 // request it was armed for or to a later reuse of the same struct.
 type udpWaiter struct {
-	onReply   func(n *Network, payload []byte)
-	onTimeout func(n *Network)
-	key       udpWaiterKey
-	gen       uint64
+	host    *Host
+	replier Replier
+	key     udpWaiterKey
+	gen     uint64
 }
 
 // newWaiter takes a waiter from the pool (or allocates one) and bumps its
@@ -164,38 +163,66 @@ func (h *Host) newWaiter() *udpWaiter {
 		w = h.freeWaiters[k-1]
 		h.freeWaiters = h.freeWaiters[:k-1]
 	} else {
-		w = &udpWaiter{}
+		w = &udpWaiter{host: h}
 	}
 	w.gen++
 	return w
 }
 
-// releaseWaiter drops the waiter's callback references and pools it.
-func (h *Host) releaseWaiter(w *udpWaiter) {
-	w.onReply, w.onTimeout = nil, nil
-	h.freeWaiters = append(h.freeWaiters, w)
-}
-
-// udpTimeout is the dispatch target of a waiter's typed timeout event: the
-// sole release point of generation gen. If the generation is stale the
-// waiter was already reclaimed and re-armed — nothing to do. If the waiter
-// still sits in the map this generation timed out for real; otherwise its
-// reply was consumed and the event only needs to return the struct to the
-// pool.
-func (h *Host) udpTimeout(n *Network, w *udpWaiter, gen uint64) {
-	if w.gen != gen {
+// Fire implements Action for the waiter's timeout entry, which carries
+// the generation it was armed for: the sole release point of that
+// generation. If the generation is stale the waiter was already reclaimed
+// and re-armed — nothing to do. Otherwise the struct returns to the pool,
+// and if no reply consumed the request its replier's Timeout runs. The
+// waiter leaves the map only if it is still there: a later request that
+// reissued its ephemeral port may hold the key by now.
+func (w *udpWaiter) Fire(n *Network, gen int) {
+	if w.gen != uint64(gen) {
 		return
 	}
+	h := w.host
+	r := w.replier
+	w.replier = nil
+	h.freeWaiters = append(h.freeWaiters, w)
 	if cur, ok := h.udpWaiters[w.key]; ok && cur == w {
 		delete(h.udpWaiters, w.key)
-		cb := w.onTimeout
-		h.releaseWaiter(w)
-		if cb != nil {
-			cb(n)
-		}
-		return
 	}
-	h.releaseWaiter(w)
+	if r != nil {
+		r.Timeout(n)
+	}
+}
+
+// Replier receives the outcome of one SendUDPRequest: Reply with the
+// response payload, or Timeout if none arrived in time. Exactly one of the
+// two runs, once, per request, so a pooled replier may return itself to
+// its pool from either; a reply arriving after the timeout finds no
+// waiter and reaches nobody. The payload aliases the delivered packet
+// under UDPService's ownership rule.
+type Replier interface {
+	Reply(n *Network, payload []byte)
+	Timeout(n *Network)
+}
+
+// ReplyFuncs adapts a pair of callbacks to Replier for setup code and
+// tests; either may be nil. Each use allocates, so per-request callers
+// implement Replier on a record they already keep.
+type ReplyFuncs struct {
+	OnReply   func(n *Network, payload []byte)
+	OnTimeout func(n *Network)
+}
+
+// Reply implements Replier.
+func (f ReplyFuncs) Reply(n *Network, payload []byte) {
+	if f.OnReply != nil {
+		f.OnReply(n, payload)
+	}
+}
+
+// Timeout implements Replier.
+func (f ReplyFuncs) Timeout(n *Network) {
+	if f.OnTimeout != nil {
+		f.OnTimeout(n)
+	}
 }
 
 // UDPRequestOpts parameterizes SendUDPRequest.
@@ -203,15 +230,13 @@ type UDPRequestOpts struct {
 	TTL     uint8         // initial IP TTL; 0 means 64
 	IPID    uint16        // 0 means auto-assign
 	Timeout time.Duration // 0 means 5s of virtual time
-	// OnReply receives the response payload (nil-safe), aliasing the
-	// delivered packet under UDPService's ownership rule.
-	OnReply func(n *Network, payload []byte)
-	// OnTimeout fires if no reply arrived before Timeout (nil-safe).
-	OnTimeout func(n *Network)
+	// Replier receives the reply or the timeout; nil ignores both.
+	Replier Replier
 }
 
-// SendUDPRequest sends payload to dst from an ephemeral port and invokes
-// OnReply with the response. It returns the chosen source port.
+// SendUDPRequest sends payload to dst from an ephemeral port and hands
+// the response, or the timeout, to opts.Replier. It returns the chosen
+// source port.
 func (h *Host) SendUDPRequest(n *Network, dst wire.Endpoint, payload []byte, opts UDPRequestOpts) uint16 {
 	sport := h.allocPort()
 	ttl := opts.TTL
@@ -223,13 +248,11 @@ func (h *Host) SendUDPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 		timeout = 5 * time.Second
 	}
 	w := h.newWaiter()
-	w.onReply, w.onTimeout = opts.OnReply, opts.OnTimeout
+	w.replier = opts.Replier
 	w.key = udpWaiterKey{dst: dst, sport: sport}
 	h.udpWaiters[w.key] = w
 	n.InjectUDP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), payload)
-	e := n.newEvent()
-	e.host, e.udpW, e.gen = h, w, w.gen
-	n.scheduleEvent(timeout, e)
+	n.ScheduleAction(timeout, w, int(w.gen))
 	return sport
 }
 
@@ -254,9 +277,10 @@ type tcpFlowKey struct {
 }
 
 // clientFlow is one outstanding SendTCPRequest, pooled per host. gen
-// increments on every acquisition, so the typed timeout event carrying
-// (flow, gen) can tell its own request from a later reuse of the struct.
+// increments on every acquisition, so the timeout entry carrying (flow,
+// gen) can tell its own request from a later reuse of the struct.
 type clientFlow struct {
+	host       *Host
 	state      int // 0 syn-sent, 1 established (payload sent), 2 closed
 	ttl        uint8
 	ipID       uint16
@@ -276,7 +300,7 @@ func (h *Host) newFlow() *clientFlow {
 		fl = h.freeFlows[k-1]
 		h.freeFlows = h.freeFlows[:k-1]
 	} else {
-		fl = &clientFlow{}
+		fl = &clientFlow{host: h}
 	}
 	fl.gen++
 	return fl
@@ -293,17 +317,17 @@ func (h *Host) endFlow(fl *clientFlow) {
 	h.freeFlows = append(h.freeFlows, fl)
 }
 
-// tcpTimeout is the dispatch target of a flow's typed timeout event. A
-// closed flow or a stale generation means the request already ended and
-// the struct went back to the pool (where it may since carry a newer
-// request): nothing to do. Otherwise the request timed out before
-// completing and fails.
-func (h *Host) tcpTimeout(n *Network, fl *clientFlow, gen uint64) {
-	if fl.gen != gen || fl.state == flowClosed {
+// Fire implements Action for the flow's timeout entry, which carries the
+// generation it was armed for. A closed flow or a stale generation means
+// the request already ended and the struct went back to the pool (where
+// it may since carry a newer request): nothing to do. Otherwise the
+// request timed out before completing and fails.
+func (fl *clientFlow) Fire(n *Network, gen int) {
+	if fl.gen != uint64(gen) || fl.state == flowClosed {
 		return
 	}
 	cb := fl.onFail
-	h.endFlow(fl)
+	fl.host.endFlow(fl)
 	if cb != nil {
 		cb(n)
 	}
@@ -351,9 +375,7 @@ func (h *Host) SendTCPRequest(n *Network, dst wire.Endpoint, payload []byte, opt
 	fl.key = tcpFlowKey{remote: dst, local: sport}
 	h.tcpFlows[fl.key] = fl
 	n.InjectTCP(wire.Endpoint{Addr: h.Addr, Port: sport}, dst, ttl, h.ipID(opts.IPID), wire.TCPSyn, fl.isn, 0, nil)
-	e := n.newEvent()
-	e.host, e.tcpFlow, e.gen = h, fl, fl.gen
-	n.scheduleEvent(timeout, e)
+	n.ScheduleAction(timeout, fl, int(fl.gen))
 	return sport
 }
 

@@ -27,7 +27,7 @@ func TestUDPRequestResponse(t *testing.T) {
 
 	var reply []byte
 	client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte("query"), UDPRequestOpts{
-		OnReply: func(n *Network, payload []byte) { reply = append([]byte(nil), payload...) },
+		Replier: ReplyFuncs{OnReply: func(n *Network, payload []byte) { reply = append([]byte(nil), payload...) }},
 	})
 	n.RunUntilIdle()
 	if string(reply) != "re:query" {
@@ -42,9 +42,11 @@ func TestUDPTimeout(t *testing.T) {
 	timedOut := false
 	replied := false
 	client.SendUDPRequest(n, wire.Endpoint{Addr: wire.AddrFrom(9, 9, 9, 9), Port: 53}, []byte("q"), UDPRequestOpts{
-		Timeout:   2 * time.Second,
-		OnReply:   func(*Network, []byte) { replied = true },
-		OnTimeout: func(*Network) { timedOut = true },
+		Timeout: 2 * time.Second,
+		Replier: ReplyFuncs{
+			OnReply:   func(*Network, []byte) { replied = true },
+			OnTimeout: func(*Network) { timedOut = true },
+		},
 	})
 	n.RunUntilIdle()
 	if !timedOut || replied {
@@ -59,9 +61,11 @@ func TestUDPNoDoubleCallback(t *testing.T) {
 	server.ServeUDP(53, func(n *Network, from wire.Endpoint, payload []byte) []byte { return payload })
 	calls := 0
 	client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte("q"), UDPRequestOpts{
-		Timeout:   time.Second,
-		OnReply:   func(*Network, []byte) { calls++ },
-		OnTimeout: func(*Network) { calls += 100 },
+		Timeout: time.Second,
+		Replier: ReplyFuncs{
+			OnReply:   func(*Network, []byte) { calls++ },
+			OnTimeout: func(*Network) { calls += 100 },
+		},
 	})
 	n.RunUntilIdle()
 	if calls != 1 {
@@ -225,7 +229,7 @@ func TestConcurrentUDPRequestsSameDst(t *testing.T) {
 	for _, q := range []string{"a", "b", "c"} {
 		q := q
 		client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte(q), UDPRequestOpts{
-			OnReply: func(n *Network, payload []byte) { got[string(payload)] = true },
+			Replier: ReplyFuncs{OnReply: func(n *Network, payload []byte) { got[string(payload)] = true }},
 		})
 	}
 	n.RunUntilIdle()
@@ -296,7 +300,7 @@ func TestDeliveredPayloadsAreCallScopedViews(t *testing.T) {
 	})
 	send := func(i int) {
 		client.SendUDPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 53}, []byte(fmt.Sprintf("query-%d", i)), UDPRequestOpts{
-			OnReply: func(n *Network, payload []byte) { see("OnReply", payload) },
+			Replier: ReplyFuncs{OnReply: func(n *Network, payload []byte) { see("OnReply", payload) }},
 		})
 		client.SendTCPRequest(n, wire.Endpoint{Addr: server.Addr, Port: 80}, []byte(fmt.Sprintf("GET /%d", i)), TCPRequestOpts{
 			OnResponse: func(n *Network, payload []byte) { see("OnResponse", payload) },

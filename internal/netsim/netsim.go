@@ -10,16 +10,21 @@
 //
 // Time is virtual: an event queue advances a simulated clock, so
 // a two-month measurement campaign with multi-day data-retention delays
-// runs in milliseconds of wall-clock time. The queue has two lanes of value
-// entries that carry each event's (time, sequence) key inline. Every hop
-// and delivery is scheduled exactly one hop latency ahead; since virtual
-// time never decreases and sequence numbers only grow, those entries
-// arrive already sorted and wait in a FIFO ring, the hop lane. All other
-// events go to a 4-ary min-heap. The loop dispatches whichever lane head
-// comes first, and merging sorted sources always yields the least key,
-// so the order is the same as one queue's. A third sorted source, the
+// runs in milliseconds of wall-clock time. A queued occurrence is a typed
+// record, not a closure: an Action (a packet flight, a request timeout, an
+// exhibitor's pending probe, a traceroute sweep) and an int argument (the
+// timeout's generation, the probe's TTL), carried inline in the queue
+// entry beside its (time, sequence) key. Dispatch is one interface call,
+// act.Fire(n, arg), so an occurrence costs no allocation beyond the record
+// its owner keeps anyway. The queue has two lanes of these entries. Every
+// hop and delivery is scheduled exactly one hop latency ahead; since
+// virtual time never decreases and sequence numbers only grow, those
+// entries arrive already sorted and wait in a FIFO ring, the hop lane. All
+// other events go to a 4-ary min-heap. The loop dispatches whichever lane
+// head comes first, and merging sorted sources always yields the least
+// key, so the order is the same as one queue's. A third sorted source, the
 // series, holds a block of numbered events scheduled up front (a
-// campaign's whole decoy schedule) as 16-byte keys instead of closures.
+// campaign's whole decoy schedule) as 16-byte keys instead of entries.
 // All execution is single goroutine and fully deterministic for a given
 // seed and call order.
 //
@@ -128,10 +133,10 @@ type Config struct {
 	// Telemetry receives the simulator's metrics and progress ticks. Nil
 	// creates a private set, so the hot path never nil-checks.
 	Telemetry *telemetry.Set
-	// Arena, when non-nil, seeds the event, flight and packet-buffer
-	// pools from a previous world's harvest (see Arena). Purely an
-	// allocation amortization: a world behaves identically with or without
-	// one.
+	// Arena, when non-nil, seeds the flight and packet-buffer pools and
+	// the queue backings from a previous world's harvest (see Arena).
+	// Purely an allocation amortization: a world behaves identically with
+	// or without one.
 	Arena *Arena
 }
 
@@ -165,11 +170,10 @@ type Network struct {
 	m           netMetrics
 	tapObserves map[*Router]*telemetry.Counter
 
-	// freeEvents and freeFlights recycle the event-loop's two per-hop
-	// objects, and bufs the packet buffers. The worker-pool campaign runner
-	// hammers this path with one world per goroutine; pooling keeps the
-	// steady state allocation-free.
-	freeEvents  []*event
+	// freeFlights recycles the event loop's per-packet object, and bufs
+	// the packet buffers. The worker-pool campaign runner hammers this path
+	// with one world per goroutine; pooling keeps the steady state
+	// allocation-free.
 	freeFlights []*flight
 	bufs        bufPool
 
@@ -268,13 +272,46 @@ func (n *Network) AddHost(addr wire.Addr, h Handler) {
 	n.hosts[addr] = h
 }
 
-// Schedule runs fn after delay of virtual time. A negative delay runs at
-// the current instant (still via the queue, preserving causal order).
-func (n *Network) Schedule(delay time.Duration, fn func()) {
-	e := n.newEvent()
-	e.fn = fn
-	n.scheduleEvent(delay, e)
+// Action is a typed scheduled occurrence: Fire runs when the queue
+// reaches it, with the arg it was scheduled with. The queue keeps the
+// Action and arg inline in its entry, so scheduling an Action that already
+// exists (a pooled record, a long-lived sweep) allocates nothing.
+type Action interface {
+	Fire(n *Network, arg int)
 }
+
+// ScheduleAction fires a.Fire(n, arg) after delay of virtual time. A
+// negative delay fires at the current instant (still via the queue,
+// preserving causal order). The entry lands in the hop lane when it is
+// exactly one hop latency ahead, in the heap otherwise.
+func (n *Network) ScheduleAction(delay time.Duration, a Action, arg int) {
+	if delay < 0 {
+		delay = 0
+	}
+	n.seq++
+	x := heapEntry{atNS: n.nowNS + int64(delay), seq: n.seq, act: a, arg: arg}
+	if delay == n.hopLatency {
+		n.lane.push(x)
+	} else {
+		n.events.push(x)
+	}
+	n.m.eventsScheduled.Inc()
+	n.m.queuePeak.SetMax(int64(n.Pending()))
+}
+
+// Schedule runs fn after delay of virtual time, as ScheduleAction does.
+// The closure is an allocation of its own, so the simulation schedules
+// per-packet, per-probe and per-domain work as Actions; Schedule is for
+// setup and tests.
+func (n *Network) Schedule(delay time.Duration, fn func()) {
+	n.ScheduleAction(delay, funcAction(fn), 0)
+}
+
+// funcAction adapts a closure to Action.
+type funcAction func()
+
+// Fire implements Action.
+func (f funcAction) Fire(*Network, int) { f() }
 
 // ScheduleSeries queues count numbered events in one compact block:
 // event i runs run(i) after delay(i) of virtual time. It is equivalent to
@@ -312,40 +349,6 @@ func (n *Network) ScheduleSeries(count int, delay func(i int) time.Duration, run
 	n.m.queuePeak.SetMax(int64(n.Pending()))
 }
 
-// scheduleEvent queues a prepared event: in the hop lane when it lands
-// exactly one hop latency ahead, in the heap otherwise.
-func (n *Network) scheduleEvent(delay time.Duration, e *event) {
-	if delay < 0 {
-		delay = 0
-	}
-	n.seq++
-	x := heapEntry{atNS: n.nowNS + int64(delay), seq: n.seq, e: e}
-	if delay == n.hopLatency {
-		n.lane.push(x)
-	} else {
-		n.events.push(x)
-	}
-	n.m.eventsScheduled.Inc()
-	n.m.queuePeak.SetMax(int64(n.Pending()))
-}
-
-// newEvent takes an event from the pool (or allocates the pool's next).
-func (n *Network) newEvent() *event {
-	if k := len(n.freeEvents); k > 0 {
-		e := n.freeEvents[k-1]
-		n.freeEvents = n.freeEvents[:k-1]
-		return e
-	}
-	return &event{}
-}
-
-// releaseEvent clears an event's references and returns it to the pool.
-func (n *Network) releaseEvent(e *event) {
-	e.fn, e.flight = nil, nil
-	e.host, e.udpW, e.tcpFlow = nil, nil, nil
-	n.freeEvents = append(n.freeEvents, e)
-}
-
 // newFlight takes a packet-flight from the pool and arms it at hop 0.
 func (n *Network) newFlight(pkt []byte, origin wire.Addr, path []*Router) *flight {
 	var f *flight
@@ -367,7 +370,7 @@ func (n *Network) releaseFlight(f *flight) {
 	n.freeFlights = append(n.freeFlights, f)
 }
 
-// Arena carries a Network's recyclable scratch — the event, flight and
+// Arena carries a Network's recyclable scratch — the flight and
 // packet-buffer free lists plus the drained heap and hop-lane backing
 // arrays — across Network lifetimes. A campaign worker running many
 // single-trial worlds in sequence attaches one arena to each world in
@@ -379,7 +382,6 @@ func (n *Network) releaseFlight(f *flight) {
 // between worlds must be externally ordered (the runner keeps one per
 // worker).
 type Arena struct {
-	events      []*event
 	flights     []*flight
 	bufs        bufPool
 	heapBacking eventHeap
@@ -389,7 +391,6 @@ type Arena struct {
 // attach seeds n's pools from the arena, leaving the arena empty. New
 // calls it before any event is scheduled.
 func (a *Arena) attach(n *Network) {
-	n.freeEvents, a.events = a.events, nil
 	n.freeFlights, a.flights = a.flights, nil
 	n.bufs, a.bufs = a.bufs, bufPool{}
 	if cap(a.heapBacking) > 0 {
@@ -402,14 +403,13 @@ func (a *Arena) attach(n *Network) {
 
 // Harvest reclaims n's pools into the arena once the world has drained
 // (every event dispatched, every flight landed). The Network must not be
-// run again afterwards. Undispatched events left behind by a truncated
-// run stay with the Network — only the released free lists move — so
+// run again afterwards. Entries left queued by a truncated run stay with
+// the Network — only the released free lists and empty backings move — so
 // harvesting a truncated world is safe, just less fruitful.
 func (a *Arena) Harvest(n *Network) {
 	if a == nil || n == nil {
 		return
 	}
-	a.events, n.freeEvents = n.freeEvents, nil
 	a.flights, n.freeFlights = n.freeFlights, nil
 	a.bufs, n.bufs = n.bufs, bufPool{}
 	if len(n.events) == 0 {
@@ -494,9 +494,9 @@ func (n *Network) send(buf []byte, src, dst wire.Addr) {
 // flight is one packet in transit: the serialized bytes, the origin
 // address (ICMP errors return there), the router path, and the next hop
 // index. Flights replace the per-hop closure chain of the original event
-// loop: one pooled struct rides the whole path, so forwarding a packet
-// over k hops schedules k+1 events without allocating any of them in the
-// steady state.
+// loop: one pooled struct rides the whole path as the Action of each of
+// its queue entries, so forwarding a packet over k hops schedules k+1
+// events without allocating any of them in the steady state.
 type flight struct {
 	pkt    []byte
 	origin wire.Addr
@@ -509,13 +509,12 @@ type flight struct {
 //
 //shadowlint:hotpath
 func (n *Network) forward(f *flight) {
-	e := n.newEvent()
-	e.flight = f
-	n.scheduleEvent(n.hopLatency, e)
+	n.ScheduleAction(n.hopLatency, f, 0)
 }
 
-// stepFlight dispatches one flight event.
-func (n *Network) stepFlight(f *flight) {
+// Fire implements Action: the flight arrives at its next router, or at its
+// destination.
+func (f *flight) Fire(n *Network, _ int) {
 	if f.hop < len(f.path) {
 		n.arriveAtRouter(f)
 		return
@@ -599,10 +598,7 @@ func (n *Network) sendTimeExceeded(r *Router, origin wire.Addr, expired []byte, 
 	// probe crossed hop+1 links to reach this router, and the error crosses
 	// as many on the way back. Per-TTL traceroute RTTs therefore increase
 	// with hop distance, as they do on the real Internet.
-	f := n.newFlight(raw, r.Addr, nil)
-	e := n.newEvent()
-	e.flight = f
-	n.scheduleEvent(time.Duration(hop+1)*n.hopLatency, e)
+	n.ScheduleAction(time.Duration(hop+1)*n.hopLatency, n.newFlight(raw, r.Addr, nil), 0)
 }
 
 // deliver hands a packet that reached its destination to the host's
@@ -620,30 +616,6 @@ func (n *Network) deliver(pkt []byte) {
 	n.stats.PacketsDelivered++
 	n.m.packetsDelivered.Inc()
 	h.Handle(n, &n.scratch)
-}
-
-// dispatch executes one popped event and recycles it. The event's payload
-// is captured before release so a handler scheduling new work can reuse
-// the pooled object immediately. It is the event-loop root: everything it
-// reaches — flight hops, handler dispatch, scheduled closures — runs on
-// the world's single event-loop goroutine.
-//
-//shadowlint:hotpath
-//shadowlint:eventloop
-func (n *Network) dispatch(e *event) {
-	f, fn := e.flight, e.fn
-	h, uw, fl, gen := e.host, e.udpW, e.tcpFlow, e.gen
-	n.releaseEvent(e)
-	switch {
-	case f != nil:
-		n.stepFlight(f)
-	case uw != nil:
-		h.udpTimeout(n, uw, gen)
-	case fl != nil:
-		h.tcpTimeout(n, fl, gen)
-	default:
-		fn()
-	}
 }
 
 // Run processes events until the queue is empty or the virtual clock would
@@ -670,7 +642,13 @@ func (n *Network) RunUntilIdle() int64 {
 // empty, the next event lies after limitNS, or the maxEvents valve trips
 // (truncated). It returns the number of events processed. Each step takes
 // the earliest head of the series and the two lanes; all three are
-// sorted, so that head is the least key in the whole queue.
+// sorted, so that head is the least key in the whole queue. It is the
+// event-loop root: everything an entry's Action reaches — flight hops,
+// handler dispatch, timeouts, probe launches — runs on the world's single
+// event-loop goroutine.
+//
+//shadowlint:hotpath
+//shadowlint:eventloop
 func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 	for {
 		var next heapEntry
@@ -698,8 +676,8 @@ func (n *Network) drain(limitNS int64) (processed int64, truncated bool) {
 			n.nowNS = next.atNS
 		}
 		n.m.queueDepth.Observe(float64(n.Pending() + 1))
-		if next.e != nil {
-			n.dispatch(next.e)
+		if next.act != nil {
+			next.act.Fire(n, next.arg)
 		} else {
 			n.dispatchSeries(next.seq)
 		}
@@ -725,8 +703,6 @@ func (n *Network) seriesLeads() bool {
 // dispatchSeries runs the series event with sequence number seq. Once the
 // series is drained it is released before the event runs, so the event
 // may schedule the next series.
-//
-//shadowlint:eventloop
 func (n *Network) dispatchSeries(seq int64) {
 	run, i := n.series.run, int(seq-n.series.base)
 	if n.series.pending() == 0 {
@@ -738,32 +714,16 @@ func (n *Network) dispatchSeries(seq int64) {
 // Pending reports the number of queued events in all three sources.
 func (n *Network) Pending() int { return len(n.events) + n.lane.n + n.series.pending() }
 
-// event is one queued occurrence: a generic callback (fn), a packet-flight
-// step (flight), or a typed request timeout of host's UDP waiter (udpW) or
-// TCP client flow (tcpFlow). Exactly one of the four is set. The typed
-// timeouts exist because SendUDPRequest and SendTCPRequest fire on every
-// probe and decoy: carrying the waiter or flow and its generation in plain
-// fields costs nothing, where the equivalent closure allocated once per
-// request.
-// Events are pooled by the Network; they live only between scheduleEvent
-// and dispatch. Their dispatch key lives in the queue entry, not here.
-type event struct {
-	fn     func()
-	flight *flight
-
-	host    *Host
-	udpW    *udpWaiter
-	tcpFlow *clientFlow
-	gen     uint64
-}
-
-// heapEntry is one queued event with its dispatch key inline: the virtual
-// instant in Unix nanoseconds and a FIFO tiebreak for simultaneous events.
-// seq is unique per Network, so (atNS, seq) totally orders the queue.
+// heapEntry is one queued event, carried by value: its dispatch key — the
+// virtual instant in Unix nanoseconds and a FIFO tiebreak for simultaneous
+// events — and what it fires, act.Fire(n, arg). seq is unique per
+// Network, so (atNS, seq) totally orders the queue. A series event has no
+// act; drain builds its entry from the series key.
 type heapEntry struct {
 	atNS int64
 	seq  int64
-	e    *event
+	act  Action
+	arg  int
 }
 
 // before reports whether a dispatches ahead of b.
@@ -814,7 +774,7 @@ func (h *eventHeap) push(x heapEntry) {
 
 // pop removes and returns the minimum entry; the heap must be non-empty.
 // The vacated tail slot is zeroed, so the backing array (which an Arena
-// may carry to the next world) never pins a dispatched event.
+// may carry to the next world) never pins a dispatched event's Action.
 func (h *eventHeap) pop() heapEntry {
 	q := *h
 	top := q[0]

@@ -349,7 +349,7 @@ func TestNoRouteNotDeliveredHopFree(t *testing.T) {
 }
 
 func TestForwardPathAllocationFree(t *testing.T) {
-	// The event and flight pools keep the steady-state forward path nearly
+	// The flight and buffer pools keep the steady-state forward path nearly
 	// allocation-free: one alloc for the packet copy in SendPacket plus
 	// heap-slice noise, nothing per hop.
 	routers := []*Router{

@@ -185,29 +185,46 @@ type Exhibitor struct {
 	//
 	//shadowlint:eventloop
 	q dnswire.Message
-	// dec is reply-decode scratch under the same contract: resolve's reply
-	// callback reads only the first A record's address out of it before
-	// returning.
+	// free holds the released pending records, which slabs of slabSize
+	// back; slabs counts the slabs made. Records are taken and released on
+	// the event loop only.
 	//
 	//shadowlint:eventloop
-	dec dnswire.Message
-	// launchBuf is ObserveDomain's scratch for the probes one observation
-	// schedules; each Schedule closure captures its element by value, so
-	// the backing array is reusable on the next observation.
-	//
+	free []*pending
 	//shadowlint:eventloop
-	launchBuf []launch
+	slabs int
 }
 
-// launch is one scheduled probe drawn from a profile rule.
-type launch struct {
-	kind   ProbeKind
-	delay  time.Duration
-	origin Origin
-	path   string
+// slabSize is the number of pending records one allocation makes.
+const slabSize = 256
+
+// pending is one probe an observation schedules: the Action its queue
+// entry fires after the drawn delay, and then the Replier of the probe's
+// DNS lookup. A retained domain is kept only here, so a record must be
+// small and cheap: it holds its origin and HTTP path as indices into the
+// kind's origin pool and intel.EnumerationPaths (32 bytes in all), and
+// records are carved from per-exhibitor slabs, since many outlive a small
+// trial's few launches and a plain pool would still allocate one per
+// launch. A record returns to the free list exactly once, when its lookup
+// is answered or times out (or at once if the lookup cannot be encoded);
+// the network never calls both Reply and Timeout, and a reply after the
+// timeout reaches no record.
+type pending struct {
+	e      *Exhibitor
+	domain string
+	origin uint32 // index into e.originsFor(kind)
+	kind   uint8  // ProbeKind
+	path   uint16 // index into intel.EnumerationPaths
 }
 
-// SetKindOrigins overrides the origin pool for one probe kind.
+// originOf returns the record's origin.
+func (p *pending) originOf() Origin {
+	return p.e.originsFor(ProbeKind(p.kind))[p.origin]
+}
+
+// SetKindOrigins overrides the origin pool for one probe kind. Pools are
+// set up before the exhibitor observes anything: a pending probe keeps its
+// origin's index in the pool.
 func (e *Exhibitor) SetKindOrigins(kind ProbeKind, origins []Origin) {
 	if e.kindOrigins == nil {
 		e.kindOrigins = make(map[ProbeKind][]Origin)
@@ -275,7 +292,6 @@ func (e *Exhibitor) ObserveDomain(n *netsim.Network, domain string) {
 	}
 	e.stats.Observed++
 
-	launches := e.launchBuf[:0]
 	for _, rule := range e.Rules {
 		if rule.Prob < 1 && e.rng.Float64() >= rule.Prob {
 			continue
@@ -283,79 +299,95 @@ func (e *Exhibitor) ObserveDomain(n *netsim.Network, domain string) {
 		count := rule.Count.Sample(e.rng)
 		for i := 0; i < count; i++ {
 			pool := e.originsFor(rule.Kind)
-			launches = append(launches, launch{
-				kind:   rule.Kind,
-				delay:  rule.Delay.Sample(e.rng),
-				origin: pool[e.rng.Intn(len(pool))],
-				path:   intel.EnumerationPaths[e.rng.Intn(len(intel.EnumerationPaths))],
-			})
+			delay := rule.Delay.Sample(e.rng)
+			p := e.newPending()
+			p.kind = uint8(rule.Kind)
+			p.origin = uint32(e.rng.Intn(len(pool)))
+			p.domain = domain
+			p.path = uint16(e.rng.Intn(len(intel.EnumerationPaths)))
+			n.ScheduleAction(delay, p, 0)
+			e.stats.ProbesLaunched++
 		}
 	}
-	e.stats.ProbesLaunched += int64(len(launches))
-	e.launchBuf = launches
 	e.mu.Unlock()
-
-	for _, l := range launches {
-		l := l
-		n.Schedule(l.delay, func() {
-			e.launchProbe(n, l.origin, l.kind, domain, l.path)
-		})
-	}
 }
 
-// launchProbe performs one unsolicited request from origin.
-func (e *Exhibitor) launchProbe(n *netsim.Network, origin Origin, kind ProbeKind, domain, path string) {
-	switch kind {
-	case ProbeDNS:
-		e.resolve(n, origin, domain, nil)
-	case ProbeHTTP:
-		e.resolve(n, origin, domain, func(addr wire.Addr) {
-			req := httpwire.EncodeGET(domain, path)
-			origin.Host.SendTCPRequest(n, wire.Endpoint{Addr: addr, Port: 80}, req, netsim.TCPRequestOpts{})
-		})
-	case ProbeHTTPS:
-		e.resolve(n, origin, domain, func(addr wire.Addr) {
-			var random [32]byte
-			e.mu.Lock()
-			e.rng.Read(random[:])
-			e.mu.Unlock()
-			payload, err := tlswire.EncodeClientHello(domain, random)
-			if err != nil {
-				return
-			}
-			origin.Host.SendTCPRequest(n, wire.Endpoint{Addr: addr, Port: 443}, payload, netsim.TCPRequestOpts{})
-		})
+// newPending takes a record from the free list, carving a new slab when
+// it is empty.
+func (e *Exhibitor) newPending() *pending {
+	if len(e.free) == 0 {
+		slab := make([]pending, slabSize)
+		for i := range slab {
+			slab[i].e = e
+			e.free = append(e.free, &slab[i])
+		}
+		e.slabs++
 	}
+	p := e.free[len(e.free)-1]
+	e.free = e.free[:len(e.free)-1]
+	return p
 }
 
-// resolve queries the origin's resolver for domain; onA (if non-nil) runs
-// with the first A record of the answer.
-func (e *Exhibitor) resolve(n *netsim.Network, origin Origin, domain string, onA func(wire.Addr)) {
+// release drops a record's domain and returns it to the free list.
+func (e *Exhibitor) release(p *pending) {
+	p.domain = ""
+	e.free = append(e.free, p)
+}
+
+// Fire implements netsim.Action: the probe launches. Every kind starts
+// by resolving the domain through the origin's resolver; the record
+// waits as the lookup's Replier.
+func (p *pending) Fire(n *netsim.Network, _ int) {
+	e := p.e
 	e.mu.Lock()
 	qid := uint16(e.rng.Intn(0xFFFF) + 1)
 	e.mu.Unlock()
-	dnswire.QueryInto(&e.q, qid, domain, dnswire.TypeA)
+	dnswire.QueryInto(&e.q, qid, p.domain, dnswire.TypeA)
 	payload, err := e.q.AppendEncode(&e.enc)
 	if err != nil {
+		e.release(p)
 		return
 	}
+	origin := p.originOf()
 	origin.Host.SendUDPRequest(n, wire.Endpoint{Addr: origin.Resolver, Port: 53}, payload, netsim.UDPRequestOpts{
-		OnReply: func(n *netsim.Network, resp []byte) {
-			if onA == nil {
-				return
-			}
-			if err := dnswire.DecodeInto(&e.dec, resp); err != nil {
-				return
-			}
-			for _, a := range e.dec.Answers {
-				if a.Type == dnswire.TypeA {
-					onA(a.Addr)
-					return
-				}
-			}
-		},
+		Replier: p,
 	})
 }
+
+// Reply implements netsim.Replier. A DNS probe is done once answered; an
+// HTTP or HTTPS probe then requests the domain from the first A record
+// of the answer.
+func (p *pending) Reply(n *netsim.Network, resp []byte) {
+	e, kind := p.e, ProbeKind(p.kind)
+	if kind == ProbeDNS {
+		e.release(p)
+		return
+	}
+	origin, domain, path := p.originOf(), p.domain, intel.EnumerationPaths[p.path]
+	e.release(p)
+	addr, ok := dnswire.FirstA(resp)
+	if !ok {
+		return
+	}
+	switch kind {
+	case ProbeHTTP:
+		req := httpwire.EncodeGET(domain, path)
+		origin.Host.SendTCPRequest(n, wire.Endpoint{Addr: addr, Port: 80}, req, netsim.TCPRequestOpts{})
+	case ProbeHTTPS:
+		var random [32]byte
+		e.mu.Lock()
+		e.rng.Read(random[:])
+		e.mu.Unlock()
+		payload, err := tlswire.EncodeClientHello(domain, random)
+		if err != nil {
+			return
+		}
+		origin.Host.SendTCPRequest(n, wire.Endpoint{Addr: addr, Port: 443}, payload, netsim.TCPRequestOpts{})
+	}
+}
+
+// Timeout implements netsim.Replier: an unanswered lookup ends the probe.
+func (p *pending) Timeout(*netsim.Network) { p.e.release(p) }
 
 // PathSampledExhibitor wraps an Exhibitor so that only a deterministic
 // fraction of client paths is shadowed: whether a client's queries are

@@ -64,13 +64,13 @@ func Screen(n *netsim.Network, p *vantage.Platform, resolvers []wire.Addr, timeo
 			}
 			vp.SendUDPRequest(n, wire.Endpoint{Addr: pair, Port: 53}, payload, netsim.UDPRequestOpts{
 				Timeout: timeout,
-				OnReply: func(n *netsim.Network, resp []byte) {
+				Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, resp []byte) {
 					if _, err := dnswire.Decode(resp); err == nil {
 						mu.Lock()
 						intercepted[vp] = true
 						mu.Unlock()
 					}
-				},
+				}},
 			})
 		}
 	}

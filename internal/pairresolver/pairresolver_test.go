@@ -102,13 +102,13 @@ func TestInterceptorSpoofsRealResolverToo(t *testing.T) {
 	payload, _ := q.Encode()
 	var answers []wire.Addr
 	dirtyVP.SendUDPRequest(n, wire.Endpoint{Addr: wire.MustParseAddr("77.88.8.8"), Port: 53}, payload, netsim.UDPRequestOpts{
-		OnReply: func(n *netsim.Network, resp []byte) {
+		Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, resp []byte) {
 			if m, err := dnswire.Decode(resp); err == nil {
 				for _, a := range m.Answers {
 					answers = append(answers, a.Addr)
 				}
 			}
-		},
+		}},
 	})
 	n.RunUntilIdle()
 	// The spoofed response wins the race (injected at hop 1, shorter path).

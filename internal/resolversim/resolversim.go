@@ -172,8 +172,8 @@ type Service struct {
 	// enc is encode scratch for replies and upstream queries: handlers run
 	// on the world's single event-loop goroutine and every message is
 	// copied into its packet (or HTTP envelope) before the next encode, so
-	// one encoder per service is safe. Only the scheduled ExtraRetries
-	// duplicates, which send later, keep their own copy of the query.
+	// one encoder per service is safe. Only the ExtraRetries duplicates,
+	// which send later, keep their own copy of the query (see retry).
 	//
 	//shadowlint:eventloop
 	enc dnswire.Encoder
@@ -202,10 +202,10 @@ type Service struct {
 
 // recursion is what a pending upstream resolution keeps of the client's
 // query — ID, opcode, RD, the first question and the client — to answer it
-// when the upstream reply or timeout arrives. Records are pooled per
-// service and bind their two callbacks once, so a recursion allocates
-// nothing in the steady state. The reply echoes only the first question;
-// every query the simulation sends has exactly one.
+// when the upstream reply or timeout arrives. A record is the Replier of
+// its upstream request and is pooled per service, so a recursion
+// allocates nothing in the steady state. The reply echoes only the first
+// question; every query the simulation sends has exactly one.
 type recursion struct {
 	s      *Service
 	inst   *Instance
@@ -215,9 +215,6 @@ type recursion struct {
 	rd     bool
 	doh    bool // answer over a DoH push instead of UDP
 	q      dnswire.Question
-
-	onReply   func(n *netsim.Network, resp []byte)
-	onTimeout func(n *netsim.Network)
 }
 
 // newRecursion takes a record from the pool (or builds one) and fills it
@@ -229,7 +226,6 @@ func (s *Service) newRecursion(inst *Instance, q *dnswire.Message, client wire.E
 		s.freeRecursions = s.freeRecursions[:k-1]
 	} else {
 		r = &recursion{s: s}
-		r.onReply, r.onTimeout = r.reply, r.timeout
 	}
 	r.inst, r.client, r.doh = inst, client, doh
 	r.id, r.opcode, r.rd = q.Header.ID, q.Header.Opcode, q.Header.RD
@@ -238,7 +234,7 @@ func (s *Service) newRecursion(inst *Instance, q *dnswire.Message, client wire.E
 }
 
 // take copies the record out and returns it to the pool. Exactly one of
-// its two callbacks runs per request, so this is its only release point.
+// Reply and Timeout runs per request, so this is its only release point.
 func (r *recursion) take() recursion {
 	p := *r
 	r.inst, r.q = nil, dnswire.Question{}
@@ -246,8 +242,9 @@ func (r *recursion) take() recursion {
 	return p
 }
 
-// reply handles the upstream answer: cache it, then answer the client.
-func (r *recursion) reply(n *netsim.Network, resp []byte) {
+// Reply implements netsim.Replier: cache the upstream answer, then answer
+// the client.
+func (r *recursion) Reply(n *netsim.Network, resp []byte) {
 	p := r.take()
 	s := p.s
 	msg := &s.dec
@@ -266,9 +263,9 @@ func (r *recursion) reply(n *netsim.Network, resp []byte) {
 	s.answer(n, &p, msg.Header.Rcode, answers)
 }
 
-// timeout answers SERVFAIL when no upstream reply came. Only the UDP path
-// counts it as a ServFail.
-func (r *recursion) timeout(n *netsim.Network) {
+// Timeout implements netsim.Replier: answer SERVFAIL when no upstream
+// reply came. Only the UDP path counts it as a ServFail.
+func (r *recursion) Timeout(n *netsim.Network) {
 	p := r.take()
 	if !p.doh {
 		p.s.mu.Lock()
@@ -482,9 +479,8 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 	}
 	r := s.newRecursion(inst, q, client, doh)
 	egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, upPayload, netsim.UDPRequestOpts{
-		Timeout:   3 * time.Second,
-		OnReply:   r.onReply,
-		OnTimeout: r.onTimeout,
+		Timeout: 3 * time.Second,
+		Replier: r,
 	})
 	if doh {
 		return
@@ -511,18 +507,29 @@ func (s *Service) recurse(n *netsim.Network, inst *Instance, q *dnswire.Message,
 	}
 	// upPayload aliases s.enc, which the next encode overwrites; the
 	// duplicates send later, so they share one copy of the query.
-	retry := append([]byte(nil), upPayload...)
+	dup := &retry{s: s, egress: egress, auth: auth, query: append([]byte(nil), upPayload...)}
 	for i := 0; i < inst.ExtraRetries; i++ {
-		delay := inst.RetryDelay * time.Duration(i+1)
-		n.Schedule(delay, func() {
-			s.mu.Lock()
-			s.stats.RetriesIssued++
-			s.mu.Unlock()
-			egress.SendUDPRequest(n, wire.Endpoint{Addr: auth, Port: 53}, retry, netsim.UDPRequestOpts{
-				Timeout: 3 * time.Second,
-			})
-		})
+		n.ScheduleAction(inst.RetryDelay*time.Duration(i+1), dup, 0)
 	}
+}
+
+// retry is the Action behind a recursion's benign duplicate upstream
+// queries: each of its queue entries sends the same query once more.
+type retry struct {
+	s      *Service
+	egress *netsim.Host
+	auth   wire.Addr
+	query  []byte
+}
+
+// Fire implements netsim.Action.
+func (r *retry) Fire(n *netsim.Network, _ int) {
+	r.s.mu.Lock()
+	r.s.stats.RetriesIssued++
+	r.s.mu.Unlock()
+	r.egress.SendUDPRequest(n, wire.Endpoint{Addr: r.auth, Port: 53}, r.query, netsim.UDPRequestOpts{
+		Timeout: 3 * time.Second,
+	})
 }
 
 // ReferralServer is a root or TLD authoritative server: it answers every

@@ -85,14 +85,14 @@ func queryViaClient(t *testing.T, n *netsim.Network, client *netsim.Host, resolv
 	var got *dnswire.Message
 	client.SendUDPRequest(n, wire.Endpoint{Addr: resolver, Port: 53}, payload, netsim.UDPRequestOpts{
 		Timeout: 30 * time.Second,
-		OnReply: func(n *netsim.Network, resp []byte) {
+		Replier: netsim.ReplyFuncs{OnReply: func(n *netsim.Network, resp []byte) {
 			m, err := dnswire.Decode(resp)
 			if err != nil {
 				t.Errorf("bad response: %v", err)
 				return
 			}
 			got = m
-		},
+		}},
 	})
 	n.RunUntilIdle()
 	return got

@@ -232,8 +232,9 @@ func Run(cfg Config) *Result {
 				defer m.workerExited(w)
 			}
 			// One arena per worker: consecutive worlds on this goroutine
-			// recycle event and flight allocations. Arenas are never
-			// shared between live worlds, so determinism is untouched.
+			// recycle flight, packet-buffer and queue allocations. Arenas
+			// are never shared between live worlds, so determinism is
+			// untouched.
 			arena := &netsim.Arena{}
 			for t := range jobs {
 				completed <- runTrial(cfg, w, t, hash, arena)

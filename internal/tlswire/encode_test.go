@@ -115,3 +115,34 @@ func FuzzEncodeClientHello(f *testing.F) {
 		same("Encode", got, err, want, wantErr)
 	})
 }
+
+// TestServerHelloAppendEncode checks that AppendEncode writes the bytes
+// Encode returns (recorded from the encoder that built the body,
+// handshake and record in buffers of their own), after whatever dst
+// already holds, that they parse back, and that a warm buffer absorbs
+// them without allocating.
+func TestServerHelloAppendEncode(t *testing.T) {
+	sh := ServerHello{Version: VersionTLS12, CipherSuite: 0x1301}
+	copy(sh.Random[:], "abc123.www.experiment.domain")
+	const recorded = "160303002c0200002803036162633132332e7777772e6578706572696d656e742e646f6d61696e00000000001301000000"
+	enc := sh.Encode()
+	if got := fmt.Sprintf("%x", enc); got != recorded {
+		t.Fatalf("Encode = %s, want %s", got, recorded)
+	}
+	prefix := []byte("prefix")
+	out := sh.AppendEncode(append([]byte(nil), prefix...))
+	if !bytes.Equal(out[:len(prefix)], prefix) || !bytes.Equal(out[len(prefix):], enc) {
+		t.Fatalf("AppendEncode = %x, want %x after the prefix", out, enc)
+	}
+	back, err := ParseServerHello(out[len(prefix):])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if *back != sh {
+		t.Errorf("parsed %+v, want %+v", *back, sh)
+	}
+	buf := make([]byte, 0, 64)
+	if allocs := testing.AllocsPerRun(100, func() { buf = sh.AppendEncode(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendEncode into a warm buffer allocates %v times, want 0", allocs)
+	}
+}

@@ -387,26 +387,29 @@ type ServerHello struct {
 	CipherSuite uint16
 }
 
-// Encode serializes the ServerHello wrapped in a TLS record.
+// serverHelloBodyLen is the length of an encoded ServerHello body:
+// version, random, an empty session ID, the cipher suite, null
+// compression and no extensions.
+const serverHelloBodyLen = 2 + 32 + 1 + 2 + 1 + 2
+
+// Encode serializes the ServerHello wrapped in a TLS record, into a
+// buffer of its own.
 func (sh *ServerHello) Encode() []byte {
-	body := make([]byte, 0, 48)
-	body = appendU16(body, sh.Version)
-	body = append(body, sh.Random[:]...)
-	body = append(body, 0) // empty session id
-	body = appendU16(body, sh.CipherSuite)
-	body = append(body, 0)    // null compression
-	body = appendU16(body, 0) // no extensions
+	return sh.AppendEncode(make([]byte, 0, 5+4+serverHelloBodyLen))
+}
 
-	hs := make([]byte, 4, 4+len(body))
-	hs[0] = HandshakeServer
-	putU24(hs[1:4], len(body))
-	hs = append(hs, body...)
-
-	rec := make([]byte, 5, 5+len(hs))
-	rec[0] = RecordHandshake
-	binary.BigEndian.PutUint16(rec[1:3], VersionTLS12)
-	binary.BigEndian.PutUint16(rec[3:5], uint16(len(hs)))
-	return append(rec, hs...)
+// AppendEncode appends the record-wrapped ServerHello to dst and returns
+// the extended buffer: with a reused dst of enough capacity, encoding
+// allocates nothing.
+func (sh *ServerHello) AppendEncode(dst []byte) []byte {
+	dst = append(dst, RecordHandshake, byte(VersionTLS12>>8), byte(VersionTLS12&0xFF), 0, 4+serverHelloBodyLen)
+	dst = append(dst, HandshakeServer, 0, 0, serverHelloBodyLen)
+	dst = appendU16(dst, sh.Version)
+	dst = append(dst, sh.Random[:]...)
+	dst = append(dst, 0) // empty session id
+	dst = appendU16(dst, sh.CipherSuite)
+	dst = append(dst, 0)     // null compression
+	return appendU16(dst, 0) // no extensions
 }
 
 // ParseServerHello parses a record-wrapped ServerHello.

@@ -45,6 +45,18 @@ type Sweep struct {
 	DestReplied map[uint8]bool
 
 	serial uint16
+	e      *Engine
+	// slots holds one probe per TTL, made with the sweep: Probes[ttl]
+	// points at slots[ttl-1].Probe once that probe is sent.
+	slots []probeSlot
+}
+
+// probeSlot is one TTL's probe record. It is also the Replier of a DNS
+// probe's request, so the reply that gives direct destination-distance
+// evidence needs no callback of its own. Each slot sends one request.
+type probeSlot struct {
+	Probe
+	s *Sweep
 }
 
 // DestDistance infers the destination's hop distance: one past the farthest
@@ -185,6 +197,8 @@ func (e *Engine) Sweep(n *netsim.Network, vp *vantage.VP, dst wire.Endpoint, pro
 		Probes:      make(map[uint8]*Probe),
 		HopAddrs:    make(map[uint8]wire.Addr),
 		DestReplied: make(map[uint8]bool),
+		e:           e,
+		slots:       make([]probeSlot, maxTTL),
 	}
 
 	e.mu.Lock()
@@ -206,13 +220,15 @@ func (e *Engine) Sweep(n *netsim.Network, vp *vantage.VP, dst wire.Endpoint, pro
 	e.mu.Unlock()
 
 	for ttl := 1; ttl <= maxTTL; ttl++ {
-		ttl := uint8(ttl)
-		delay := time.Duration(int(ttl)-1) * spacing
-		n.Schedule(delay, func() {
-			e.sendProbe(n, s, ttl)
-		})
+		n.ScheduleAction(time.Duration(ttl-1)*spacing, s, ttl)
 	}
 	return s, nil
+}
+
+// Fire implements netsim.Action: the engine schedules each TTL of the
+// sweep as one entry, whose arg is the TTL of the probe to send.
+func (s *Sweep) Fire(n *netsim.Network, ttl int) {
+	s.e.sendProbe(n, s, uint8(ttl))
 }
 
 func (e *Engine) sendProbe(n *netsim.Network, s *Sweep, ttl uint8) {
@@ -220,8 +236,11 @@ func (e *Engine) sendProbe(n *netsim.Network, s *Sweep, ttl uint8) {
 	if err != nil {
 		return
 	}
+	slot := &s.slots[ttl-1]
+	slot.Probe = Probe{TTL: ttl, Label: d.Label, Domain: d.Domain, SentAt: n.Now()}
+	slot.s = s
 	s.mu.Lock()
-	s.Probes[ttl] = &Probe{TTL: ttl, Label: d.Label, Domain: d.Domain, SentAt: n.Now()}
+	s.Probes[ttl] = &slot.Probe
 	s.mu.Unlock()
 
 	e.mu.Lock()
@@ -237,15 +256,7 @@ func (e *Engine) sendProbe(n *netsim.Network, s *Sweep, ttl uint8) {
 		// A per-probe waiter maps any resolver response back to this exact
 		// TTL, giving direct destination-distance evidence.
 		s.VP.SendUDPRequest(n, s.Dst, d.Payload, netsim.UDPRequestOpts{
-			TTL: ttl, IPID: ipID, Timeout: 10 * time.Second,
-			OnReply: func(n *netsim.Network, _ []byte) {
-				s.mu.Lock()
-				s.DestReplied[ttl] = true
-				s.mu.Unlock()
-				if m != nil {
-					m.destReplies.Inc()
-				}
-			},
+			TTL: ttl, IPID: ipID, Timeout: 10 * time.Second, Replier: slot,
 		})
 	case decoy.HTTP, decoy.TLS:
 		// No TCP handshake before tracerouting (Section 3): a bare data
@@ -254,14 +265,31 @@ func (e *Engine) sendProbe(n *netsim.Network, s *Sweep, ttl uint8) {
 	}
 }
 
+// Reply implements netsim.Replier: the destination answered this probe.
+func (p *probeSlot) Reply(*netsim.Network, []byte) {
+	s := p.s
+	s.mu.Lock()
+	s.DestReplied[p.TTL] = true
+	s.mu.Unlock()
+	s.e.mu.Lock()
+	m := s.e.metrics()
+	s.e.mu.Unlock()
+	if m != nil {
+		m.destReplies.Inc()
+	}
+}
+
+// Timeout implements netsim.Replier: an unanswered probe is no evidence.
+func (p *probeSlot) Timeout(*netsim.Network) {}
+
 // handleICMP routes a Time Exceeded message to the sweep that sent the
 // quoted probe.
 func (e *Engine) handleICMP(vp *vantage.VP, pkt *wire.Packet) {
 	if pkt.ICMP == nil || pkt.ICMP.Type != wire.ICMPTimeExceeded {
 		return
 	}
-	quoted, err := pkt.ICMP.QuotedIPv4()
-	if err != nil {
+	var quoted wire.IPv4
+	if err := pkt.ICMP.QuotedIPv4Into(&quoted); err != nil {
 		return
 	}
 	serial, ttl := splitProbeID(quoted.ID)

@@ -131,6 +131,40 @@ func TestSweepRawTCPMode(t *testing.T) {
 	}
 }
 
+// TestSweepLateReplyIsNoEvidence has the destination answer each probe
+// only after the probe's 10 s request timeout: the late replies must not
+// mark the probe's TTL as destination-replied, and the ICMP hops still
+// give the distance. A probe's slot is its request's Replier, so a reply
+// reaching it after the timeout would show here.
+func TestSweepLateReplyIsNoEvidence(t *testing.T) {
+	r := newRig(t, nil)
+	r.engine.MaxTTL = 8
+	late := netsim.NewHost(r.n, r.dst.Addr) // replaces the rig's prompt server
+	late.ServeUDP(53, func(n *netsim.Network, from wire.Endpoint, payload []byte) []byte {
+		q, err := dnswire.Decode(payload)
+		if err != nil {
+			return nil
+		}
+		raw, _ := dnswire.NewResponse(q, dnswire.RcodeNoError).Encode()
+		n.Schedule(11*time.Second, func() { n.InjectUDP(r.dst, from, 64, 0, raw) })
+		return nil
+	})
+	s, err := r.engine.Sweep(r.n, r.vp, r.dst, decoy.DNS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.n.RunUntilIdle()
+	if len(s.DestReplied) != 0 {
+		t.Errorf("late replies marked TTLs %v as destination-replied", s.DestReplied)
+	}
+	if len(s.Probes) != 8 {
+		t.Errorf("probes = %d, want 8", len(s.Probes))
+	}
+	if d := s.DestDistance(); d != 6 {
+		t.Errorf("DestDistance = %d, want 6", d)
+	}
+}
+
 func TestAnalyzeMidPathObserver(t *testing.T) {
 	r := newRig(t, nil)
 	r.engine.MaxTTL = 10

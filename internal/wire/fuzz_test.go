@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"reflect"
 	"testing"
 )
 
@@ -13,6 +14,9 @@ import (
 // hop runs) must leave a header that still decodes, with a valid checksum,
 // a TTL one lower and every other byte untouched; a packet the full parser
 // accepted must stay acceptable, since no transport checksum covers TTL.
+// QuotedIPv4Into, which traceroute runs on every ICMP error, must read
+// exactly the quoted header fields from an accepted ICMP message and from
+// the input taken as a raw quote, and refuse only what carries none.
 //
 //	go test -run '^$' -fuzz FuzzParserDecode -fuzztime 10s ./internal/wire
 func FuzzParserDecode(f *testing.F) {
@@ -32,6 +36,10 @@ func FuzzParserDecode(f *testing.F) {
 		var p Parser
 		var pkt Packet
 		parsed := p.Decode(data, &pkt) == nil
+		if parsed && pkt.ICMP != nil {
+			checkQuoted(t, pkt.ICMP)
+		}
+		checkQuoted(t, &ICMP{Type: ICMPTimeExceeded, payload: data})
 
 		var h IPv4
 		if h.DecodeFromBytes(data) != nil || h.TTL == 0 {
@@ -65,6 +73,42 @@ func FuzzParserDecode(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkQuoted holds m.QuotedIPv4Into to the header fields read straight
+// from m's payload, and QuotedIPv4 to it.
+func checkQuoted(t *testing.T, m *ICMP) {
+	t.Helper()
+	var q IPv4
+	err := m.QuotedIPv4Into(&q)
+	quote := m.Payload()
+	ihl := 0
+	if len(quote) > 0 {
+		ihl = int(quote[0]&0x0F) * 4
+	}
+	want := (m.Type == ICMPTimeExceeded || m.Type == ICMPDestUnreach) &&
+		len(quote) >= IPv4HeaderLen && quote[0]>>4 == 4 && ihl >= IPv4HeaderLen && len(quote) >= ihl
+	if (err == nil) != want {
+		t.Fatalf("QuotedIPv4Into(type %d, quote %x) error = %v, want success %v", m.Type, quote, err, want)
+	}
+	old, oldErr := m.QuotedIPv4()
+	if (oldErr == nil) != want {
+		t.Fatalf("QuotedIPv4 error = %v, want success %v", oldErr, want)
+	}
+	if !want {
+		return
+	}
+	ff := binary.BigEndian.Uint16(quote[6:8])
+	if q.TOS != quote[1] || q.TotalLen != binary.BigEndian.Uint16(quote[2:4]) ||
+		q.ID != binary.BigEndian.Uint16(quote[4:6]) || q.Flags != uint8(ff>>13) || q.FragOff != ff&0x1FFF ||
+		q.TTL != quote[8] || q.Protocol != IPProto(quote[9]) || q.Checksum != 0 ||
+		!bytes.Equal(q.Src[:], quote[12:16]) || !bytes.Equal(q.Dst[:], quote[16:20]) ||
+		!bytes.Equal(q.Payload(), quote[ihl:]) {
+		t.Fatalf("QuotedIPv4Into(%x) = %+v", quote, q)
+	}
+	if !reflect.DeepEqual(*old, q) {
+		t.Fatalf("QuotedIPv4 = %+v, QuotedIPv4Into %+v", *old, q)
+	}
 }
 
 // refChecksum is the 16-bit-per-step RFC 1071 loop the word-wise sum
@@ -148,4 +192,29 @@ func FuzzChecksum(f *testing.F) {
 			}
 		}
 	})
+}
+
+// TestQuotedIPv4IntoAllocsZero reads a Time Exceeded quote into a stack
+// value, as traceroute does for every ICMP error, without allocating.
+func TestQuotedIPv4IntoAllocsZero(t *testing.T) {
+	probe, _ := BuildUDP(Endpoint{AddrFrom(1, 1, 1, 1), 5353}, Endpoint{AddrFrom(8, 8, 8, 8), 53}, 3, 0x1234, []byte("payload"))
+	raw, _ := BuildICMP(AddrFrom(9, 9, 9, 9), AddrFrom(1, 1, 1, 1), 64, 0, &ICMP{Type: ICMPTimeExceeded}, probe[:TimeExceededQuoteLen])
+	var p Parser
+	var pkt Packet
+	if err := p.Decode(raw, &pkt); err != nil || pkt.ICMP == nil {
+		t.Fatalf("decode: %v", err)
+	}
+	var id uint16
+	allocs := testing.AllocsPerRun(100, func() {
+		var q IPv4
+		if pkt.ICMP.QuotedIPv4Into(&q) == nil {
+			id = q.ID
+		}
+	})
+	if allocs != 0 {
+		t.Errorf("QuotedIPv4Into allocates %v times, want 0", allocs)
+	}
+	if id != 0x1234 {
+		t.Errorf("quoted ID = %#x, want 0x1234", id)
+	}
 }

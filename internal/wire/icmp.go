@@ -92,37 +92,50 @@ func NewTimeExceeded(original []byte) *ICMP {
 }
 
 // QuotedIPv4 extracts the quoted original IPv4 header from an ICMP error
-// message payload. Traceroute uses the quoted (src, dst, ID) triple to map
-// an error back to the probe that triggered it.
+// message payload into a fresh IPv4 (see QuotedIPv4Into).
 func (m *ICMP) QuotedIPv4() (*IPv4, error) {
+	var quoted IPv4
+	if err := m.QuotedIPv4Into(&quoted); err != nil {
+		return nil, err
+	}
+	return &quoted, nil
+}
+
+// QuotedIPv4Into decodes the quoted original IPv4 header of an ICMP error
+// message into dst, whose payload then aliases m's. Traceroute uses the
+// quoted (src, dst, ID) triple to map an error back to the probe that
+// triggered it, decoding into a stack value so that reading an error
+// allocates nothing. On error dst is unspecified.
+func (m *ICMP) QuotedIPv4Into(dst *IPv4) error {
 	if m.Type != ICMPTimeExceeded && m.Type != ICMPDestUnreach {
-		return nil, fmt.Errorf("wire: ICMP type %d carries no quoted packet", m.Type)
+		return fmt.Errorf("wire: ICMP type %d carries no quoted packet", m.Type)
 	}
 	if len(m.payload) < IPv4HeaderLen {
-		return nil, ErrTruncated
+		return ErrTruncated
 	}
-	var quoted IPv4
 	// The quote is truncated, so TotalLen generally exceeds what is present;
 	// decode header fields manually without the length/checksum validation
 	// DecodeFromBytes performs on complete packets.
 	data := m.payload
 	if data[0]>>4 != 4 {
-		return nil, ErrBadVersion
+		return ErrBadVersion
 	}
 	ihl := int(data[0]&0x0F) * 4
 	if ihl < IPv4HeaderLen || len(data) < ihl {
-		return nil, ErrBadHeader
+		return ErrBadHeader
 	}
-	quoted.TOS = data[1]
-	quoted.TotalLen = binary.BigEndian.Uint16(data[2:4])
-	quoted.ID = binary.BigEndian.Uint16(data[4:6])
+	*dst = IPv4{
+		TOS:      data[1],
+		TotalLen: binary.BigEndian.Uint16(data[2:4]),
+		ID:       binary.BigEndian.Uint16(data[4:6]),
+		TTL:      data[8],
+		Protocol: IPProto(data[9]),
+		payload:  data[ihl:],
+	}
 	ff := binary.BigEndian.Uint16(data[6:8])
-	quoted.Flags = uint8(ff >> 13)
-	quoted.FragOff = ff & 0x1FFF
-	quoted.TTL = data[8]
-	quoted.Protocol = IPProto(data[9])
-	copy(quoted.Src[:], data[12:16])
-	copy(quoted.Dst[:], data[16:20])
-	quoted.payload = data[ihl:]
-	return &quoted, nil
+	dst.Flags = uint8(ff >> 13)
+	dst.FragOff = ff & 0x1FFF
+	copy(dst.Src[:], data[12:16])
+	copy(dst.Dst[:], data[16:20])
+	return nil
 }

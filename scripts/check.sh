@@ -384,8 +384,8 @@ echo "== benchmark smoke (netsim, wire)"
 go test -run '^$' -bench . -benchtime=1x ./internal/netsim ./internal/wire
 
 echo "== netsim allocation gates"
-# The forward path is pooled (events, flights and packet buffers, one
-# scratch decode): once warm, injecting, forwarding and delivering a
+# The forward path is pooled (flights and packet buffers, queue entries
+# carried by value, one scratch decode): once warm, injecting, forwarding and delivering a
 # packet allocates nothing, and neither does a whole UDP request/reply
 # exchange between two hosts.
 bench_out=$(go test -run '^$' -bench 'BenchmarkPacketForwarding|BenchmarkEndToEndUDP' -benchmem ./internal/netsim)
@@ -400,8 +400,8 @@ done
 
 echo "== netsim event-queue allocation gate"
 # At Phase II depth (65,536 pending events) the queue's steady state
-# recycles pooled events and reuses the heap backing: any allocation per
-# dispatch is a regression.
+# reuses the heap backing, and an entry carries its action by value: any
+# allocation per dispatch is a regression.
 allocs=$(go test -run '^$' -bench BenchmarkEventQueue -benchmem ./internal/netsim |
     awk '/BenchmarkEventQueue/ {print $(NF-1)}')
 echo "BenchmarkEventQueue: $allocs allocs/op"
@@ -417,6 +417,16 @@ allocs=$(go test -run '^$' -bench BenchmarkHopLane -benchmem ./internal/netsim |
 echo "BenchmarkHopLane: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "hop-lane allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+# The same mix scheduled as typed actions (flights, timeouts, probe
+# launches and TTL probes are all Actions): the entry holds the Action and
+# its arg inline, so scheduling and firing one allocates nothing.
+allocs=$(go test -run '^$' -bench BenchmarkScheduleAction -benchmem ./internal/netsim |
+    awk '/BenchmarkScheduleAction/ {print $(NF-1)}')
+echo "BenchmarkScheduleAction: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "typed-action scheduling allocations regressed: $allocs allocs/op (gate: 0)" >&2
     exit 1
 fi
 
@@ -441,6 +451,19 @@ allocs=$(go test -run '^$' -bench BenchmarkObserveFiltered -benchmem ./internal/
 echo "BenchmarkObserveFiltered: $allocs allocs/op"
 if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
     echo "filtered-packet allocations regressed: $allocs allocs/op (gate: 0)" >&2
+    exit 1
+fi
+
+echo "== observer probe-launch allocation gate"
+# A retained domain waits as a pending record carved from the exhibitor's
+# slabs, which is its launch Action and its lookup's Replier and returns
+# to the free list on the answer: a steady-state DNS-kind probe, from
+# observation to answer, must not allocate.
+allocs=$(go test -run '^$' -bench BenchmarkLaunchDNS -benchmem ./internal/observer |
+    awk '/BenchmarkLaunchDNS/ {print $(NF-1)}')
+echo "BenchmarkLaunchDNS: $allocs allocs/op"
+if [ -z "$allocs" ] || [ "$allocs" -gt 0 ]; then
+    echo "probe-launch allocations regressed: $allocs allocs/op (gate: 0)" >&2
     exit 1
 fi
 
@@ -505,14 +528,16 @@ echo "== trials allocation + multi-core speedup gates"
 # the question-name reuse in DNS decode, then filter-before-parse observer
 # taps, then one allocation per message (exactly sized decoy encoders,
 # scratch-decoding resolvers and HTTP servers, pooled TCP request flows),
-# then pooled packet buffers: an 8-trial batch sits at about 1.00M allocs,
-# down from ~9.8M before the sweeps. The ceiling leaves about 6% headroom
-# for noise while catching any real regression.
+# then pooled packet buffers, then a closure-free event loop (typed
+# actions inline in the queue, slab-pooled exhibitor records, traceroute
+# probe slots, name-free reply reads): an 8-trial batch sits at about
+# 761K allocs, down from ~9.8M before the sweeps. The ceiling leaves about
+# 6% headroom for noise while catching any real regression.
 bench_out=$(go test -run '^$' -bench 'BenchmarkTrials/workers=(1|4)$' -benchmem -benchtime 1x ./internal/runner)
 allocs=$(echo "$bench_out" | awk '/workers=1/ {print $(NF-1)}')
 echo "BenchmarkTrials/workers=1: $allocs allocs/op"
-if [ -z "$allocs" ] || [ "$allocs" -gt 1060000 ]; then
-    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 1060000)" >&2
+if [ -z "$allocs" ] || [ "$allocs" -gt 806000 ]; then
+    echo "trial-loop allocations regressed: $allocs allocs/op (gate: 806000)" >&2
     exit 1
 fi
 
